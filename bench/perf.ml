@@ -284,6 +284,29 @@ let tests =
             ignore (Serve.Server.handle_line server line);
             fun () -> ignore (Serve.Server.handle_line server line)))
       ;
+      (* The codec halves of a memo-tier tau request: rendering its reply
+         (three solver floats) and parsing its line. *)
+      Test.make ~name:"jsonx_render_tau_reply"
+        (Staged.stage
+           (let view =
+              Macgame.Oracle.uniform (Macgame.Oracle.analytic params) ~n:10
+                ~w:128
+            in
+            let reply =
+              Serve.Reply.ok ~id:(Telemetry.Jsonx.Int 17) ~tier:Memo
+                ~elapsed_ms:0.00095367431640625
+                (Telemetry.Jsonx.Obj
+                   [
+                     ("tau", Telemetry.Jsonx.Float view.tau);
+                     ("p", Telemetry.Jsonx.Float view.p);
+                   ])
+            in
+            fun () -> ignore (Telemetry.Jsonx.to_string reply)));
+      Test.make ~name:"jsonx_parse_tau_request"
+        (Staged.stage (fun () ->
+             ignore
+               (Telemetry.Jsonx.parse
+                  "{\"id\":17,\"op\":\"tau\",\"n\":10,\"w\":128}")));
       Test.make ~name:"serve_handle_line_cold"
         (Staged.stage (fun () ->
              ignore
@@ -377,6 +400,8 @@ let kernel_ns json =
    Newton/batch solver kernels (PR 9). *)
 let guarded_kernel name =
   (String.length name >= 7 && String.sub name 0 7 = "spatial")
+  (* The Jsonx codec kernels: render and parse of the serve path. *)
+  || (String.length name >= 6 && String.sub name 0 6 = "jsonx_")
   || name = "newton_cold_n50"
   || name = "batch_sweep_cw64"
 

@@ -194,6 +194,11 @@ let salvage_id line =
   | exception Jx.Parse_error _ -> Jx.Null
   | json -> Option.value (Jx.member "id" json) ~default:Jx.Null
 
+let internal_error t ~id exn =
+  Telemetry.Metric.incr t.errors;
+  Reply.error ~id
+    (Printf.sprintf "internal error: %s" (Printexc.to_string exn))
+
 let handle_line t line =
   let received_at = now_ms () in
   if String.trim line = "" then None
@@ -206,10 +211,10 @@ let handle_line t line =
           Reply.error ~id:(salvage_id line) reason
       | Ok req -> (
           try reply_to t ~received_at req
-          with exn ->
-            Telemetry.Metric.incr t.errors;
-            Reply.error ~id:req.id
-              (Printf.sprintf "internal error: %s" (Printexc.to_string exn)))
+          with exn -> internal_error t ~id:req.id exn)
+      | exception exn ->
+          Telemetry.Metric.incr t.requests;
+          internal_error t ~id:Jx.Null exn
     in
     Some (Reply.to_line reply)
 

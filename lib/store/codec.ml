@@ -26,11 +26,11 @@ let check_header line =
           corrupt "unsupported store version %d (expected %d)" v version
       | _ -> corrupt "segment header missing version")
 
-(* The checksum covers the rendered payload bytes, not the parsed value:
-   Jsonx is not render-stable through a parse (integral floats come back
-   as ints), so hashing the re-rendering would reject entries the codec
-   itself wrote.  Hashing the raw bytes makes verification exact and
-   catches any flipped bit in either the payload or the digest itself. *)
+(* The checksum covers the payload bytes as they sit in the segment.  Jsonx
+   parse inverts its rendering (a Float reads back as the same Float), so a
+   re-rendering would hash the same; the raw bytes are hashed because this
+   is fault detection: verification needs no parse, and any flipped bit in
+   either the payload or the digest itself is caught. *)
 let encode ~key value =
   let payload =
     Telemetry.Jsonx.to_string

@@ -5,7 +5,14 @@
     library into every instrumented layer would violate the "prelude-only"
     footprint of the telemetry stack.  Numbers parse back as [Int] when the
     literal is integral and fits, [Float] otherwise; non-finite floats
-    render as [null] (JSON has no representation for them). *)
+    render as [null] (JSON has no representation for them).
+
+    A finite [Float] renders as its shortest round-trip decimal, so it
+    parses back bit-identically and as a [Float]: the text always carries a
+    ['.'] or an exponent.  Up to 12 significant digits the bytes are those
+    of C's [%.12g] (integral values below 1e15: [%.1f]); longer digit
+    strings are laid out as [%.17g] lays out its digits.  Hence [parse]
+    inverts [to_string], floats bit for bit, up to non-finite floats. *)
 
 type t =
   | Null
@@ -21,9 +28,12 @@ val to_string : t -> string
 
 exception Parse_error of string
 
+val max_depth : int
+(** The deepest nesting of arrays and objects [parse] accepts (256). *)
+
 val parse : string -> t
 (** Parse one complete JSON document.  @raise Parse_error on malformed
-    input or trailing garbage. *)
+    input, trailing garbage, or nesting deeper than {!max_depth}. *)
 
 val member : string -> t -> t option
 (** [member key json] is the field [key] of an [Obj]; [None] for other

@@ -267,13 +267,23 @@ let test_nonconverged_never_persisted () =
         (expect_nonconverged (fun () -> Macgame.Oracle.payoffs oracle hostile));
       Alcotest.(check int) "no row written" 0 (Store.entries store))
 
+(* Window pairs at least 8 apart, in either order.  Closer pairs can
+   legitimately converge within one iteration: over [16, 256] the ones
+   that do are exactly those 2 or 4 apart with both windows >= 194, such
+   as (249, 253). *)
+let hostile_window_pair =
+  QCheck.make
+    ~print:QCheck.Print.(pair int int)
+    QCheck.Gen.(
+      int_range 16 248 >>= fun lo ->
+      int_range (lo + 8) 256 >>= fun hi ->
+      map (fun swap -> if swap then (hi, lo) else (lo, hi)) bool)
+
 let test_nonconverged_surfaces_at_every_layer =
   QCheck.Test.make
     ~name:"max_iter=1 hostile profiles surface non-convergence at every layer"
-    ~count:30
-    QCheck.(pair (int_range 16 256) (int_range 16 256))
+    ~count:30 hostile_window_pair
     (fun (w_a, w_b) ->
-      QCheck.assume (w_a <> w_b);
       let profile = Array.concat [ Array.make 3 w_a; Array.make 3 w_b ] in
       (* Solver layer. *)
       let classes = [ (min w_a w_b, 3); (max w_a w_b, 3) ] in
