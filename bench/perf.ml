@@ -19,10 +19,14 @@ let random_25 () =
 let tests =
   Test.make_grouped ~name:"selfish-mac"
     [
-      (* Table II/III kernel: the heterogeneous fixed point. *)
-      Test.make ~name:"fixed_point_n50"
-        (Staged.stage (fun () ->
-             ignore (Dcf.Solver.solve params (Array.init 50 (fun i -> 64 + i)))));
+      (* Heterogeneous profile kernel: a 50-node profile on windows
+         64..113 through Model.solve_profile (group into classes, class
+         solve, metrics and payoffs) — the path every heterogeneous
+         profile the tables and the serve cold tier evaluate runs. *)
+      Test.make ~name:"profile_solve_n50"
+        (Staged.stage
+           (let cws = Array.init 50 (fun i -> 64 + i) in
+            fun () -> ignore (Dcf.Model.solve_profile params cws)));
       Test.make ~name:"homogeneous_solve_n20"
         (Staged.stage (fun () ->
              ignore (Dcf.Solver.solve_homogeneous params ~n:20 ~w:339)));
@@ -52,27 +56,18 @@ let tests =
          Newton path needs 5. *)
       Test.make ~name:"newton_cold_n50"
         (Staged.stage
-           (let classes = List.init 50 (fun i -> (2 + i, 1)) in
+           (let classes =
+              List.init 50 (fun i -> (Dcf.Strategy_space.of_cw (2 + i), 1))
+            in
             fun () ->
               ignore (Dcf.Solver.solve_classes ~algo:Newton params classes)));
       Test.make ~name:"picard_cold_n50"
         (Staged.stage
-           (let classes = List.init 50 (fun i -> (2 + i, 1)) in
+           (let classes =
+              List.init 50 (fun i -> (Dcf.Strategy_space.of_cw (2 + i), 1))
+            in
             fun () ->
               ignore (Dcf.Solver.solve_classes ~algo:Picard params classes)));
-      (* Batched sweep kernel: a 64-point deviant-CW column (one scanning
-         strategy against 19 conformers) through solve_batch, so every
-         point after the first starts from its neighbour's τ vector. *)
-      Test.make ~name:"batch_sweep_cw64"
-        (Staged.stage
-           (let problems =
-              Array.init 64 (fun i ->
-                  [
-                    (Dcf.Strategy_space.of_cw (32 + (2 * i)), 1);
-                    (Dcf.Strategy_space.of_cw 128, 19);
-                  ])
-            in
-            fun () -> ignore (Dcf.Solver.solve_batch params problems)));
       (* Figures 2-3 kernel: one welfare evaluation, cold (a fresh oracle
          per call, so the fixed point is actually solved every time). *)
       Test.make ~name:"welfare_point_n20"
@@ -249,15 +244,24 @@ let tests =
                      (Macgame.Repeated.all_tft ~n:5
                         ~initials:[| 100; 90; 110; 95; 105 |])
                    ~stages:5)));
-      (* Deviation analysis kernel. *)
-      Test.make ~name:"deviant_solve_n20"
-        (Staged.stage (fun () ->
-             ignore (Dcf.Solver.solve_with_deviant params ~n:20 ~w:339 ~w_dev:100)));
+      (* Deviation analysis kernel: one deviant at W = 100 against 19
+         conformers at W = 339, the 2-class instance of the class solver
+         that Lemma 4 and the unilateral-gain scans evaluate. *)
+      Test.make ~name:"deviant_profile_n20"
+        (Staged.stage
+           (let classes =
+              [ (Dcf.Strategy_space.of_cw 100, 1); (Dcf.Strategy_space.of_cw 339, 19) ]
+            in
+            fun () -> ignore (Dcf.Solver.solve_classes params classes)));
       (* Coalition kernel: a 3-class fixed point. *)
       Test.make ~name:"class_solve_3classes"
-        (Staged.stage (fun () ->
-             ignore
-               (Dcf.Solver.solve_classes params [ (83, 3); (166, 10); (332, 7) ])));
+        (Staged.stage
+           (let classes =
+              List.map
+                (fun (w, k) -> (Dcf.Strategy_space.of_cw w, k))
+                [ (83, 3); (166, 10); (332, 7) ]
+            in
+            fun () -> ignore (Dcf.Solver.solve_classes params classes)));
       (* Unsaturated kernel: 1 simulated second at 70% load, 10 nodes. *)
       Test.make ~name:"unsaturated_sim_1s_n10"
         (Staged.stage (fun () ->
@@ -396,14 +400,14 @@ let kernel_ns json =
    regression.  2× is deliberately loose — micro-benchmark noise on
    shared machines is real — so tripping it means the kernel genuinely
    lost its edge.  Guarded: every spatial kernel — the event-core ones
-   (PR 4/6) and the grid/scan/sharded scale ones (PR 10) — plus the
-   Newton/batch solver kernels (PR 9). *)
+   (PR 4/6) and the grid/scan/sharded scale ones (PR 10) — plus the cold
+   Newton class solve and the profile solve built on it. *)
 let guarded_kernel name =
   (String.length name >= 7 && String.sub name 0 7 = "spatial")
   (* The Jsonx codec kernels: render and parse of the serve path. *)
   || (String.length name >= 6 && String.sub name 0 6 = "jsonx_")
   || name = "newton_cold_n50"
-  || name = "batch_sweep_cw64"
+  || name = "profile_solve_n50"
 
 (* Checked-in baselines are named BENCH_PR<N>.json; the newest (highest N)
    is the regression reference, so landing BENCH_PR10.json automatically

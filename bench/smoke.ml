@@ -21,11 +21,12 @@ let () =
   Telemetry.Registry.add_sink registry sink;
   (* One tiny run per kernel family. *)
   ignore
-    (Dcf.Solver.solve ~telemetry:registry params
-       (Array.init 8 (fun i -> 64 + i)));
+    (Dcf.Solver.solve_profile ~telemetry:registry params
+       (Array.init 8 (fun i -> Dcf.Strategy_space.of_cw (64 + i))));
   ignore (Dcf.Solver.solve_homogeneous ~telemetry:registry params ~n:8 ~w:128);
   ignore
-    (Dcf.Solver.solve_classes ~telemetry:registry params [ (83, 2); (166, 3) ]);
+    (Dcf.Solver.solve_classes ~telemetry:registry params
+       [ (Dcf.Strategy_space.of_cw 83, 2); (Dcf.Strategy_space.of_cw 166, 3) ]);
   ignore
     (Netsim.Slotted.run ~telemetry:registry
        { params; cws = Array.make 5 128; duration = 0.05; seed = 1 });

@@ -249,7 +249,7 @@ let solve_cmd =
   in
   let run mode m cws () =
     let params = params_of mode m in
-    let solved = Dcf.Model.solve params (Array.of_list cws) in
+    let solved = Dcf.Model.solve_profile params (Array.of_list cws) in
     Printf.printf "node |    W |    tau |      p | throughput | payoff/s\n";
     Array.iteri
       (fun i w ->
@@ -1218,7 +1218,7 @@ let trace_record_cmd =
       | `Solve ->
           fun () ->
             ignore
-              (Dcf.Solver.solve Dcf.Params.default
+              (Dcf.Model.solve_profile Dcf.Params.default
                  (Array.init 50 (fun i -> 64 + i)))
       | `Sweep -> fun () -> sweep_workload jobs
     in

@@ -15,33 +15,19 @@ let rel_diff a b =
   let scale = Float.max 1e-12 (Float.max (Float.abs a) (Float.abs b)) in
   Float.abs (a -. b) /. scale
 
-(* Worst relative discrepancy between two class solutions, over every τ
-   and p.  Infinite when either solve failed to converge or the shapes
-   disagree — a solver that cannot finish both ways has no business
-   passing an equivalence check. *)
-let margin_of (newton : Dcf.Solver.class_solution)
-    (picard : Dcf.Solver.class_solution) =
-  if not (newton.converged && picard.converged) then infinity
-  else if
-    List.length newton.class_pairs <> List.length picard.class_pairs
-  then infinity
+(* Worst relative discrepancy between two solves, given as (iterations,
+   converged, (τ, p) pairs), over every τ and p.  Infinite when either
+   solve failed to converge or the shapes disagree — a solver that cannot
+   finish both ways has no business passing an equivalence check. *)
+let margin_of (_, newton_ok, newton) (_, picard_ok, picard) =
+  if not (newton_ok && picard_ok) then infinity
+  else if List.length newton <> List.length picard then infinity
   else
     List.fold_left2
       (fun acc (tau_n, p_n) (tau_p, p_p) ->
         Float.max acc (Float.max (rel_diff tau_n tau_p) (rel_diff p_n p_p)))
-      0. newton.class_pairs picard.class_pairs
+      0. newton picard
     /. tolerance
-
-(* Class-reduce an equivalence-grid profile the same way solve_profile
-   does: distinct windows sorted ascending. *)
-let classes_of_profile profile =
-  let tbl = Hashtbl.create 8 in
-  Array.iter
-    (fun w ->
-      Hashtbl.replace tbl w
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl w)))
-    profile;
-  Hashtbl.fold (fun w k acc -> (w, k) :: acc) tbl [] |> List.sort compare
 
 let strategy ~cw ~aifs ~txop ~rate =
   { Dcf.Strategy_space.cw; aifs; txop_frames = txop; rate }
@@ -69,21 +55,16 @@ let strategy_problems =
     );
   ]
 
-let grid_check ?telemetry (point : Equivalence.point) =
-  let id = "solver_core.grid." ^ point.id in
-  let classes = classes_of_profile point.profile in
+(* Run [solve] both ways and grade the gap; [what] names the problem
+   size in the detail line. *)
+let newton_vs_picard ?telemetry ~id ~what solve =
   let check =
-    match
-      ( Dcf.Solver.solve_classes ~algo:Newton point.params classes,
-        Dcf.Solver.solve_classes ~algo:Picard point.params classes )
-    with
-    | newton, picard ->
+    match (solve Dcf.Solver.Newton, solve Dcf.Solver.Picard) with
+    | ((newton_iters, _, _) as newton), ((picard_iters, _, _) as picard) ->
         Check.v ~id ~group:"solver_core" ~margin:(margin_of newton picard)
           ~detail:
-            (Printf.sprintf
-               "newton %d iters vs picard %d iters, %d classes, <=%.0e rel"
-               newton.iterations picard.iterations (List.length classes)
-               tolerance)
+            (Printf.sprintf "newton %d iters vs picard %d iters, %s, <=%.0e rel"
+               newton_iters picard_iters what tolerance)
           ()
     | exception exn ->
         Check.v ~id ~group:"solver_core" ~margin:infinity
@@ -93,29 +74,26 @@ let grid_check ?telemetry (point : Equivalence.point) =
   Check.emit ?telemetry check;
   check
 
+(* Grid profiles go through the profile grouper, exactly as the oracle
+   solves them. *)
+let grid_check ?telemetry (point : Equivalence.point) =
+  newton_vs_picard ?telemetry ~id:("solver_core.grid." ^ point.id)
+    ~what:(Printf.sprintf "%d nodes" (Array.length point.profile))
+    (fun algo ->
+      let s =
+        Dcf.Solver.solve_profile ~algo point.params
+          (Array.map Dcf.Strategy_space.of_cw point.profile)
+      in
+      ( s.iterations,
+        s.converged,
+        Array.to_list (Array.map2 (fun tau p -> (tau, p)) s.taus s.ps) ))
+
 let strategy_check ?telemetry (name, classes) =
-  let id = "solver_core." ^ name in
-  let params = Dcf.Params.default in
-  let check =
-    match
-      ( Dcf.Solver.solve_strategy_classes ~algo:Newton params classes,
-        Dcf.Solver.solve_strategy_classes ~algo:Picard params classes )
-    with
-    | newton, picard ->
-        Check.v ~id ~group:"solver_core" ~margin:(margin_of newton picard)
-          ~detail:
-            (Printf.sprintf
-               "newton %d iters vs picard %d iters, %d classes, <=%.0e rel"
-               newton.iterations picard.iterations (List.length classes)
-               tolerance)
-          ()
-    | exception exn ->
-        Check.v ~id ~group:"solver_core" ~margin:infinity
-          ~detail:("raised: " ^ Printexc.to_string exn)
-          ()
-  in
-  Check.emit ?telemetry check;
-  check
+  newton_vs_picard ?telemetry ~id:("solver_core." ^ name)
+    ~what:(Printf.sprintf "%d classes" (List.length classes))
+    (fun algo ->
+      let s = Dcf.Solver.solve_classes ~algo Dcf.Params.default classes in
+      (s.iterations, s.converged, s.class_pairs))
 
 let checks ?telemetry ~tier () =
   if not (Check.runs_in Check.Fast ~at:tier) then []

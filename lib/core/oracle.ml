@@ -586,35 +586,22 @@ let classes_of (sorted : Dcf.Strategy_space.t array) utilities =
    warm-start neighbour search. *)
 let solve_profile ?tau_hint t (sorted : Dcf.Strategy_space.t array) =
   match t.backend with
-  | Analytic when Profile.is_degenerate sorted ->
-      let n = Array.length sorted in
-      let cws = Profile.cws sorted in
+  | Analytic ->
+      (* The oracle-level neighbour table is keyed on (n, w), so it seeds
+         CW-only profiles only; a batch context's hint overrides it. *)
       let tau_hint =
         match tau_hint with
-        | Some hint ->
-            Some (fun w -> hint (Dcf.Strategy_space.of_cw w))
-        | None ->
-            if t.warm_start then
-              Some
-                (fun w ->
-                  Mutex.lock t.lock;
-                  let tau = Hashtbl.find_opt t.neighbor_taus (n, w) in
-                  Mutex.unlock t.lock;
-                  tau)
-            else None
+        | Some _ -> tau_hint
+        | None when t.warm_start && Profile.is_degenerate sorted ->
+            let n = Array.length sorted in
+            Some
+              (fun (s : Dcf.Strategy_space.t) ->
+                Mutex.lock t.lock;
+                let tau = Hashtbl.find_opt t.neighbor_taus (n, s.cw) in
+                Mutex.unlock t.lock;
+                tau)
+        | None -> None
       in
-      let iters = ref 0 in
-      let solved =
-        Dcf.Model.solve_profile ?p_hn:t.p_hn ~iterations:iters ?tau_hint
-          ?max_iter:t.solver_max_iter t.params cws
-      in
-      note_iterations t ~warm:(tau_hint <> None) !iters;
-      Telemetry.Metric.incr t.solves;
-      if not solved.Dcf.Model.converged then
-        refuse_nonconverged t (profile_key sorted);
-      ( classes_of sorted solved.Dcf.Model.utilities,
-        classes_of sorted solved.Dcf.Model.taus )
-  | Analytic ->
       let iters = ref 0 in
       let solved =
         Dcf.Model.solve_strategies ?p_hn:t.p_hn ~iterations:iters ?tau_hint

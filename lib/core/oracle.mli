@@ -26,8 +26,8 @@
       distinguished only by their window (the qcheck suite probes this
       property on the raw solver) — and the canonical entry answers every
       permutation of the same multiset.  The analytic backend evaluates
-      profiles through {!Dcf.Model.solve_profile} (class-reduced, so equal
-      windows get bit-identical payoffs); the simulated backends average
+      profiles through {!Dcf.Model.solve_strategies} (class-reduced, so
+      equal strategies get bit-identical payoffs); the simulated backends average
       replicate runs and then average {e within} each window class, making
       permutation invariance exact by construction there too.
 

@@ -8,8 +8,7 @@ type solved = {
   converged : bool;
 }
 
-let solve ?p_hn (params : Params.t) cws =
-  let solution = Solver.solve params cws in
+let price ?p_hn params cws (solution : Solver.solution) =
   let metrics = Metrics.of_solution params solution in
   let utilities = Utility.rates ?p_hn params ~taus:solution.taus ~ps:solution.ps in
   {
@@ -22,22 +21,10 @@ let solve ?p_hn (params : Params.t) cws =
     converged = solution.converged;
   }
 
-let solve_profile ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
-    cws =
-  let solution =
-    Solver.solve_profile ?iterations ?tau_hint ?max_iter params cws
-  in
-  let metrics = Metrics.of_solution params solution in
-  let utilities = Utility.rates ?p_hn params ~taus:solution.taus ~ps:solution.ps in
-  {
-    params;
-    cws;
-    taus = solution.taus;
-    ps = solution.ps;
-    metrics;
-    utilities;
-    converged = solution.converged;
-  }
+let solve_profile ?p_hn ?iterations ?max_iter (params : Params.t) cws =
+  price ?p_hn params cws
+    (Solver.solve_profile ?iterations ?max_iter params
+       (Array.map Strategy_space.of_cw cws))
 
 type strategy_solved = {
   params : Params.t;
@@ -50,10 +37,11 @@ type strategy_solved = {
   converged : bool;
 }
 
-(* The degenerate branch routes through [solve_profile] verbatim so the
-   CW-only subspace inherits its bit-identity guarantee structurally; the
-   general branch prices per-strategy channel occupancy through the
-   heterogeneous slot model. *)
+(* One class solve for every profile; only the pricing branches.  The
+   degenerate branch prices through [Metrics.of_taus] exactly as
+   [solve_profile] does, so the CW-only subspace keeps its bits: the
+   general branch's [Hetero.of_profile] sums collision time with
+   different arithmetic. *)
 let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
     strategies =
   let n = Array.length strategies in
@@ -64,13 +52,15 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
       | Ok () -> ()
       | Error e -> invalid_arg ("Model.solve_strategies: " ^ e))
     strategies;
+  let solution =
+    Solver.solve_profile ?iterations ?tau_hint ?max_iter params strategies
+  in
   if Array.for_all Strategy_space.is_degenerate strategies then begin
-    let cws = Array.map (fun (s : Strategy_space.t) -> s.cw) strategies in
-    (* Adapt the strategy-keyed hint to the window-keyed profile path. *)
-    let tau_hint =
-      Option.map (fun hint w -> hint (Strategy_space.of_cw w)) tau_hint
+    let s =
+      price ?p_hn params
+        (Array.map (fun (s : Strategy_space.t) -> s.cw) strategies)
+        solution
     in
-    let s = solve_profile ?p_hn ?iterations ?tau_hint ?max_iter params cws in
     {
       params;
       strategies;
@@ -83,31 +73,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
     }
   end
   else begin
-    (* Class-reduce over distinct strategies (canonical order, so any
-       permutation of the profile solves the identical class problem). *)
-    let tbl = Hashtbl.create 8 in
-    Array.iter
-      (fun s ->
-        let key = Strategy_space.to_key s in
-        match Hashtbl.find_opt tbl key with
-        | Some (s', k) -> Hashtbl.replace tbl key (s', k + 1)
-        | None -> Hashtbl.add tbl key (s, 1))
-      strategies;
-    let class_list =
-      Hashtbl.fold (fun _ sk acc -> sk :: acc) tbl []
-      |> List.sort (fun (a, _) (b, _) -> Strategy_space.compare a b)
-    in
-    let solved =
-      Solver.solve_strategy_classes ?iterations ?tau_hint ?max_iter params
-        class_list
-    in
-    let by_key = Hashtbl.create 8 in
-    List.iter2
-      (fun (s, _) tp -> Hashtbl.replace by_key (Strategy_space.to_key s) tp)
-      class_list solved.class_pairs;
-    let pair i = Hashtbl.find by_key (Strategy_space.to_key strategies.(i)) in
-    let taus = Array.init n (fun i -> fst (pair i)) in
-    let ps = Array.init n (fun i -> snd (pair i)) in
+    let taus = solution.taus and ps = solution.ps in
     let base = Timing.of_params params in
     let times = Array.map (Strategy_space.times params ~base) strategies in
     let ts = Array.map (fun (t : Strategy_space.times) -> t.ts) times in
@@ -135,7 +101,7 @@ let solve_strategies ?p_hn ?iterations ?tau_hint ?max_iter (params : Params.t)
       slot_time = hetero.slot_time;
       utilities;
       goodputs = hetero.per_node_goodput;
-      converged = solved.converged;
+      converged = solution.converged;
     }
   end
 
@@ -147,39 +113,15 @@ type node_view = {
   slot_time : float;
 }
 
-let view_of ?p_hn (params : Params.t) (metrics : Metrics.t) ~tau ~p ~index =
+let homogeneous ?p_hn (params : Params.t) ~n ~w =
+  let tau, p = Solver.solve_homogeneous params ~n ~w in
+  let metrics = Metrics.of_taus params (Array.make n tau) in
   {
     tau;
     p;
     utility =
       Utility.rate_of_node ?p_hn params ~slot_time:metrics.slot_time ~tau ~p;
-    throughput = metrics.per_node_throughput.(index);
+    throughput = metrics.per_node_throughput.(0);
     slot_time = metrics.slot_time;
   }
 
-let homogeneous ?p_hn (params : Params.t) ~n ~w =
-  let tau, p = Solver.solve_homogeneous params ~n ~w in
-  let metrics = Metrics.of_taus params (Array.make n tau) in
-  view_of ?p_hn params metrics ~tau ~p ~index:0
-
-let homogeneous_welfare ?p_hn params ~n ~w =
-  float_of_int n *. (homogeneous ?p_hn params ~n ~w).utility
-
-type deviation_view = {
-  deviant : node_view;
-  conformer : node_view;
-  converged : bool;
-}
-
-let with_deviant ?p_hn (params : Params.t) ~n ~w ~w_dev =
-  let sol = Solver.solve_with_deviant params ~n ~w ~w_dev in
-  let tau_dev, p_dev = sol.deviant in
-  let tau, p = sol.conformer in
-  let taus = Array.make n tau in
-  taus.(0) <- tau_dev;
-  let metrics = Metrics.of_taus params taus in
-  {
-    deviant = view_of ?p_hn params metrics ~tau:tau_dev ~p:p_dev ~index:0;
-    conformer = view_of ?p_hn params metrics ~tau ~p ~index:1;
-    converged = sol.converged;
-  }

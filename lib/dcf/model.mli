@@ -17,19 +17,16 @@ type solved = {
           that persist or serve answers must check this *)
 }
 
-val solve : ?p_hn:float -> Params.t -> int array -> solved
-(** Solve the fixed point for a heterogeneous profile and evaluate
-    metrics and utilities.  [p_hn] (default 1) is the multi-hop
-    hidden-node degradation factor applied to every node. *)
-
 val solve_profile :
-  ?p_hn:float -> ?iterations:int ref -> ?tau_hint:(int -> float option) ->
-  ?max_iter:int -> Params.t -> int array -> solved
-(** Like {!solve} but through {!Solver.solve_profile}: the fixed point is
-    class-reduced over distinct windows, so equal windows get bit-identical
-    (τ, p, u) and the result is invariant under profile permutation.  The
-    payoff oracle's heterogeneous path.  [iterations], [tau_hint] (warm
-    start) and [max_iter] pass through to {!Solver.solve_profile}. *)
+  ?p_hn:float -> ?iterations:int ref -> ?max_iter:int -> Params.t ->
+  int array -> solved
+(** Solve the fixed point for a CW profile through
+    {!Solver.solve_profile} and evaluate metrics and utilities.  The fixed
+    point is class-reduced over distinct windows, so equal windows get
+    bit-identical (τ, p, u) and the (τ, p) are invariant under profile
+    permutation.  [p_hn] (default 1) is the multi-hop hidden-node
+    degradation factor applied to every node; [iterations] and [max_iter]
+    pass through to the solver. *)
 
 type strategy_solved = {
   params : Params.t;
@@ -49,18 +46,17 @@ val solve_strategies :
   ?p_hn:float -> ?iterations:int ref ->
   ?tau_hint:(Strategy_space.t -> float option) -> ?max_iter:int ->
   Params.t -> Strategy_space.t array -> strategy_solved
-(** Solve a full multi-knob strategy profile.  When every strategy is
-    degenerate (CW-only) this delegates to {!solve_profile} verbatim, so
-    the degenerate subspace reproduces the CW-only answers bit-identically
-    (taus/ps/utilities equal [solved]'s, [slot_time] =
-    [metrics.slot_time], [goodputs] = [metrics.per_node_throughput]).
-    Otherwise: contention via {!Solver.solve_strategy_classes} (AIFS
-    eligibility coupling), channel occupancy via {!Hetero.of_profile} with
-    per-strategy burst/rate durations, and payoffs via
-    {!Utility.rate_of_strategy}.  [tau_hint] warm-starts the class solve
-    (strategy-keyed; on the degenerate branch it is adapted to the
-    window-keyed {!solve_profile} hint), and [max_iter] bounds the
-    underlying iteration — both pass straight through to the solver. *)
+(** Solve a full multi-knob strategy profile.  Contention goes through
+    {!Solver.solve_profile} (AIFS eligibility coupling) for every
+    profile.  When every strategy is degenerate (CW-only) the pricing is
+    {!solve_profile}'s, so the degenerate subspace reproduces the CW-only
+    answers bit-identically (taus/ps/utilities equal [solved]'s,
+    [slot_time] = [metrics.slot_time], [goodputs] =
+    [metrics.per_node_throughput]).  Otherwise channel occupancy comes
+    from {!Hetero.of_profile} with per-strategy burst/rate durations, and
+    payoffs from {!Utility.rate_of_strategy}.  [tau_hint] warm-starts the
+    class solve and [max_iter] bounds the underlying iteration — both pass
+    straight through to the solver. *)
 
 type node_view = {
   tau : float;
@@ -73,20 +69,3 @@ type node_view = {
 val homogeneous : ?p_hn:float -> Params.t -> n:int -> w:int -> node_view
 (** Per-node view of the symmetric network (all [n] nodes on window [w]),
     via the fast scalar solve. *)
-
-val homogeneous_welfare : ?p_hn:float -> Params.t -> n:int -> w:int -> float
-(** n·u for the symmetric network: the global payoff rate plotted in
-    Figures 2–3 (up to the constant C). *)
-
-type deviation_view = {
-  deviant : node_view;
-  conformer : node_view;
-  converged : bool;
-}
-
-val with_deviant :
-  ?p_hn:float -> Params.t -> n:int -> w:int -> w_dev:int -> deviation_view
-(** Views of both classes when one node plays [w_dev] against n−1 nodes on
-    [w] (Lemma 4's configuration), via the fast two-class solve.
-    [converged] reports the underlying two-dimensional fixed point's real
-    outcome. *)

@@ -13,53 +13,6 @@ type class_solution = {
   converged : bool;
 }
 
-type deviant_solution = {
-  deviant : float * float;
-  conformer : float * float;
-  iterations : int;
-  converged : bool;
-}
-
-(* p_i = 1 − Π_{j≠i}(1 − τ_j), computed with prefix/suffix products so a
-   node with τ_j = 1 (window 1, always transmitting) does not force a
-   division by zero. *)
-let collision_probabilities taus =
-  let n = Array.length taus in
-  let prefix = Array.make (n + 1) 1. in
-  let suffix = Array.make (n + 1) 1. in
-  for i = 0 to n - 1 do
-    prefix.(i + 1) <- prefix.(i) *. (1. -. taus.(i))
-  done;
-  for i = n - 1 downto 0 do
-    suffix.(i) <- suffix.(i + 1) *. (1. -. taus.(i))
-  done;
-  Array.init n (fun i ->
-      Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (prefix.(i) *. suffix.(i + 1))))
-
-let solve ?telemetry ?(tol = 1e-13) ?(max_iter = 20_000) (params : Params.t)
-    cws =
-  let n = Array.length cws in
-  if n = 0 then invalid_arg "Solver.solve: empty network";
-  Array.iter
-    (fun w -> if w < 1 then invalid_arg "Solver.solve: window must be >= 1")
-    cws;
-  let m = params.max_backoff_stage in
-  let step taus =
-    let ps = collision_probabilities taus in
-    Array.mapi (fun i p -> Bianchi.tau_of_p ~w:cws.(i) ~m p) ps
-  in
-  let x0 = Array.map (fun w -> 2. /. float_of_int (w + 1)) cws in
-  let outcome =
-    Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter step x0
-  in
-  let taus = outcome.value in
-  {
-    taus;
-    ps = collision_probabilities taus;
-    iterations = outcome.iterations;
-    converged = outcome.converged;
-  }
-
 let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
     ?guess ?(tol = 1e-14) (params : Params.t) ~n ~w =
   if n < 1 then invalid_arg "Solver.solve_homogeneous: need n >= 1";
@@ -106,7 +59,7 @@ let solve_homogeneous ?(telemetry = Telemetry.Registry.default) ?iterations
   end
 
 (* ---------------------------------------------------------------- *)
-(* Class-space fixed points: shared Newton/Picard machinery.         *)
+(* Class-space fixed points: Newton/Picard machinery.                *)
 (* ---------------------------------------------------------------- *)
 
 (* x^k for the small integer class counts of the hot loops.  The k ≤ 1
@@ -157,13 +110,15 @@ let class_ps ~ks taus =
 
       δ = D⁻¹d + D⁻¹u·(vᵀD⁻¹d)/(1 − vᵀD⁻¹u).
 
-   [dphi ~j ~p_j ~phi_j] supplies φ'_j; for the CW-only map φ_j = τB so
-   φ' = dτ/dp, and the AIFS map adds the eligibility factor's product
-   rule.  Returns [None] near the τ = 1 boundary (where the product
-   shortcut and the derivative both degenerate), on a near-singular
-   diagonal or denominator, and on any non-finite intermediate — the
-   caller then takes one damped Picard sweep instead. *)
-let rank_one_newton_step ~ks ~dphi taus defect =
+   φ_j(p) = (1−p)^a·τB(w, p), so φ'_j = (1−p)^a·τB' − a·(1−p)^{a−1}·τB,
+   with τB' in its τ form ({!Bianchi.dtau_dp_at_tau}).  At a = 0 the map
+   value is τB itself, so φ' is the τ form at φ directly — a branch, not a
+   closure, so CW-only classes pay nothing for the AIFS term.
+   Returns [None] near the τ = 1 boundary (where the product shortcut and
+   the derivative both degenerate), on a near-singular diagonal or
+   denominator, and on any non-finite intermediate — the caller then
+   takes one damped Picard sweep instead. *)
+let rank_one_newton_step ~m ~(ss : Strategy_space.t array) ~ks taus defect =
   let c = Array.length taus in
   let usable = ref true in
   for j = 0 to c - 1 do
@@ -180,38 +135,55 @@ let rank_one_newton_step ~ks ~dphi taus defect =
        step costs two array writes and no temporary beyond them. *)
     let d_inv_defect = Array.make c 0. in
     let d_inv_u = Array.make c 0. in
-    (try
-       let v_dot_d = ref 0. and v_dot_u = ref 0. in
-       for j = 0 to c - 1 do
-         let one_m = 1. -. taus.(j) in
-         let o_j = !product /. one_m in
-         let p_j = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. o_j) in
-         (* The map value at p_j is x_j + defect_j by construction (up to
-            one rounding), which lets dphi reuse it instead of re-deriving
-            τB(w, p_j) — a derivative-only shortcut, never a τ result. *)
-         let phi_j = taus.(j) +. defect.(j) in
-         let u_j = dphi ~j ~p_j ~phi_j *. o_j in
-         let d_j = 1. +. (u_j /. one_m) in
-         if (not (Float.is_finite d_j)) || Float.abs d_j < 1e-12 then
-           raise Exit;
-         let did = defect.(j) /. d_j in
-         let diu = u_j /. d_j in
-         d_inv_defect.(j) <- did;
-         d_inv_u.(j) <- diu;
-         let v_j = float_of_int ks.(j) /. one_m in
-         v_dot_d := !v_dot_d +. (v_j *. did);
-         v_dot_u := !v_dot_u +. (v_j *. diu)
-       done;
-       let denom = 1. -. !v_dot_u in
-       if (not (Float.is_finite denom)) || Float.abs denom < 1e-12 then
-         raise Exit;
-       let scale = !v_dot_d /. denom in
-       let delta = d_inv_defect in
-       for j = 0 to c - 1 do
-         delta.(j) <- delta.(j) +. (d_inv_u.(j) *. scale)
-       done;
-       Some delta
-     with Exit -> None)
+    try
+      let v_dot_d = ref 0. and v_dot_u = ref 0. in
+      for j = 0 to c - 1 do
+        let one_m = 1. -. taus.(j) in
+        let o_j = !product /. one_m in
+        let p_j = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. o_j) in
+        (* The map value at p_j is x_j + defect_j by construction (up to
+           one rounding), which lets φ' reuse it instead of re-deriving
+           τB(w, p_j) — a derivative-only shortcut, never a τ result. *)
+        let phi_j = taus.(j) +. defect.(j) in
+        let w = ss.(j).cw and a = ss.(j).aifs in
+        let dphi =
+          if a = 0 then Bianchi.dtau_dp_at_tau ~w ~m ~tau:phi_j p_j
+          else begin
+            (* The τ form needs the bare τB back out of the map value;
+               near p = 1 the eligibility factor underflows and τB is
+               re-derived directly instead. *)
+            let elig = powk (1. -. p_j) a in
+            let tau_b =
+              if elig > 1e-300 then phi_j /. elig
+              else Bianchi.tau_of_p ~w ~m p_j
+            in
+            let d = Bianchi.dtau_dp_at_tau ~w ~m ~tau:tau_b p_j in
+            let elig' = float_of_int a *. powk (1. -. p_j) (a - 1) in
+            (elig *. d) -. (elig' *. tau_b)
+          end
+        in
+        let u_j = dphi *. o_j in
+        let d_j = 1. +. (u_j /. one_m) in
+        if (not (Float.is_finite d_j)) || Float.abs d_j < 1e-12 then
+          raise Exit;
+        let did = defect.(j) /. d_j in
+        let diu = u_j /. d_j in
+        d_inv_defect.(j) <- did;
+        d_inv_u.(j) <- diu;
+        let v_j = float_of_int ks.(j) /. one_m in
+        v_dot_d := !v_dot_d +. (v_j *. did);
+        v_dot_u := !v_dot_u +. (v_j *. diu)
+      done;
+      let denom = 1. -. !v_dot_u in
+      if (not (Float.is_finite denom)) || Float.abs denom < 1e-12 then
+        raise Exit;
+      let scale = !v_dot_d /. denom in
+      let delta = d_inv_defect in
+      for j = 0 to c - 1 do
+        delta.(j) <- delta.(j) +. (d_inv_u.(j) *. scale)
+      done;
+      Some delta
+    with Exit -> None
   end
 
 let run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
@@ -260,137 +232,26 @@ let newton_cold_x0 ?telemetry (params : Params.t) ~ws ~ks =
         else None
   end
 
+(* AIFS enters the coupled system through an eligibility factor: a node
+   deferring a extra slots after every busy period can only start in a
+   slot if none of the preceding a slots was busy for it, which in the
+   mean-field model happens with probability (1 − p)^a.  Its *effective*
+   per-slot transmission probability is therefore
+   τ' = (1 − p)^a · τ_bianchi(W, p), and it is τ' that other nodes see
+   when computing their collision probabilities.  TXOP and rate do not
+   change the contention fixed point (they change channel occupancy and
+   payoff, priced downstream).  At a = 0 the map is Bianchi's eq. 2
+   verbatim — no multiplication by the factor — so CW-only classes solve
+   the paper's coupled fixed point with its own arithmetic. *)
 let solve_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
     ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
   if classes = [] then invalid_arg "Solver.solve_classes: no classes";
   List.iter
-    (fun (w, k) ->
-      if w < 1 then invalid_arg "Solver.solve_classes: window must be >= 1";
-      if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
-    classes;
-  let m = params.max_backoff_stage in
-  let ws = Array.of_list (List.map fst classes) in
-  let ks = Array.of_list (List.map snd classes) in
-  let c = Array.length ws in
-  let step taus =
-    let ps = class_ps ~ks taus in
-    Array.init c (fun j -> Bianchi.tau_of_p ~w:ws.(j) ~m ps.(j))
-  in
-  (* Specialised rank-one step for the CW-only map: the same algebra as
-     {!rank_one_newton_step} with φ' inlined in its τ form (−W·S·τ²/2,
-     cf. {!Bianchi.dtau_dp_at_tau}), saving a closure dispatch and a
-     clamp call per class in the innermost Jacobian loop — this is the
-     hot path of every cold heterogeneous solve.  Guards and fallback
-     behaviour are identical: any non-finite or near-singular
-     intermediate yields [None] and the caller takes a damped sweep. *)
-  let newton_step taus defect =
-    let c = Array.length taus in
-    let usable = ref true in
-    for j = 0 to c - 1 do
-      if not (Float.is_finite taus.(j)) || taus.(j) >= 1. then usable := false
-    done;
-    if not !usable then None
-    else begin
-      let product = ref 1. in
-      for j = 0 to c - 1 do
-        product := !product *. powk (1. -. taus.(j)) ks.(j)
-      done;
-      let d_inv_defect = Array.make c 0. in
-      let d_inv_u = Array.make c 0. in
-      try
-        let v_dot_d = ref 0. and v_dot_u = ref 0. in
-        for j = 0 to c - 1 do
-          let one_m = 1. -. taus.(j) in
-          let o_j = !product /. one_m in
-          let p_j = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. o_j) in
-          let phi_j = taus.(j) +. defect.(j) in
-          let s = ref 0. and pow = ref 1. in
-          for i = 0 to m - 1 do
-            s := !s +. (float_of_int (i + 1) *. !pow);
-            pow := !pow *. 2. *. p_j
-          done;
-          let u_j =
-            -0.5 *. float_of_int ws.(j) *. !s *. phi_j *. phi_j *. o_j
-          in
-          let d_j = 1. +. (u_j /. one_m) in
-          if (not (Float.is_finite d_j)) || Float.abs d_j < 1e-12 then
-            raise Exit;
-          let did = defect.(j) /. d_j in
-          let diu = u_j /. d_j in
-          d_inv_defect.(j) <- did;
-          d_inv_u.(j) <- diu;
-          let v_j = float_of_int ks.(j) /. one_m in
-          v_dot_d := !v_dot_d +. (v_j *. did);
-          v_dot_u := !v_dot_u +. (v_j *. diu)
-        done;
-        let denom = 1. -. !v_dot_u in
-        if (not (Float.is_finite denom)) || Float.abs denom < 1e-12 then
-          raise Exit;
-        let scale = !v_dot_d /. denom in
-        let delta = d_inv_defect in
-        for j = 0 to c - 1 do
-          delta.(j) <- delta.(j) +. (d_inv_u.(j) *. scale)
-        done;
-        Some delta
-      with Exit -> None
-    end
-  in
-  (* Warm start: [tau_hint w] may seed a class with a τ from a
-     neighbouring solved problem; classes without a hint start at the
-     no-collision value 2/(W+1).  Both iterations contract to the same
-     fixed point from any interior start (a property the test suite
-     probes), so a hint changes the path, not the destination — at
-     tolerance level, which is why warm-started answers carry a
-     conformance anchor rather than a bit-identity claim. *)
-  let default_x0 w = 2. /. float_of_int (w + 1) in
-  let x0 =
-    match tau_hint with
-    | None -> (
-        match algo with
-        | Newton -> (
-            match newton_cold_x0 ?telemetry params ~ws ~ks with
-            | Some x0 -> x0
-            | None -> Array.map default_x0 ws)
-        | Picard -> Array.map default_x0 ws)
-    | Some hint ->
-        Array.map
-          (fun w ->
-            match hint w with
-            | Some g when g > 0. && g < 1. -> g
-            | _ -> default_x0 w)
-          ws
-  in
-  let taus, iters, converged =
-    run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
-  in
-  (match iterations with Some r -> r := iters | None -> ());
-  let ps = class_ps ~ks taus in
-  {
-    class_pairs = List.init c (fun j -> (taus.(j), ps.(j)));
-    iterations = iters;
-    converged;
-  }
-
-(* Multi-knob class solver.  AIFS enters the coupled system through an
-   eligibility factor: a node deferring a extra slots after every busy
-   period can only start in a slot if none of the preceding a slots was
-   busy for it, which in the mean-field model happens with probability
-   (1 − p)^a.  Its *effective* per-slot transmission probability is
-   therefore τ' = (1 − p)^a · τ_bianchi(W, p), and it is τ' that other
-   nodes see when computing their collision probabilities.  TXOP and rate
-   do not change the contention fixed point (they change channel
-   occupancy and payoff, priced downstream); CW enters exactly as in
-   {!solve_classes}, so at a = 0 the iteration reduces to it. *)
-let solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ?x0
-    ~tol ~algo ~max_iter (params : Params.t) classes =
-  if classes = [] then invalid_arg "Solver.solve_strategy_classes: no classes";
-  List.iter
     (fun ((s : Strategy_space.t), k) ->
       (match Strategy_space.validate s with
       | Ok () -> ()
-      | Error e -> invalid_arg ("Solver.solve_strategy_classes: " ^ e));
-      if k < 1 then
-        invalid_arg "Solver.solve_strategy_classes: count must be >= 1")
+      | Error e -> invalid_arg ("Solver.solve_classes: " ^ e));
+      if k < 1 then invalid_arg "Solver.solve_classes: count must be >= 1")
     classes;
   let m = params.max_backoff_stage in
   let ss = Array.of_list (List.map fst classes) in
@@ -405,60 +266,35 @@ let solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ?x0
         if s.Strategy_space.aifs = 0 then tau
         else powk (1. -. p) s.Strategy_space.aifs *. tau)
   in
-  (* φ_j(p) = (1−p)^a · τB(w, p), so the product rule gives
-     φ'_j = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB. *)
-  let newton_step =
-    rank_one_newton_step ~ks ~dphi:(fun ~j ~p_j ~phi_j ->
-        let s = ss.(j) in
-        let w = s.Strategy_space.cw in
-        let a = s.Strategy_space.aifs in
-        if a = 0 then Bianchi.dtau_dp_at_tau ~w ~m ~tau:phi_j p_j
-        else
-          (* φ_j = (1−p)^a·τB, so the cheap τ-form derivative needs the
-             bare τB back out of the map value; near p = 1 the eligibility
-             factor underflows and we re-derive τB directly instead. *)
-          let elig = powk (1. -. p_j) a in
-          let tau_b =
-            if elig > 1e-300 then phi_j /. elig
-            else Bianchi.tau_of_p ~w ~m p_j
-          in
-          let d = Bianchi.dtau_dp_at_tau ~w ~m ~tau:tau_b p_j in
-          let elig' = float_of_int a *. powk (1. -. p_j) (a - 1) in
-          (elig *. d) -. (elig' *. tau_b))
-  in
+  (* Warm start: [tau_hint s] may seed a class with a τ from a
+     neighbouring solved problem; classes without a hint start at the
+     no-collision value 2/(W+1).  Both iterations contract to the same
+     fixed point from any interior start (a property the test suite
+     probes), so a hint changes the path, not the destination — at
+     tolerance level, which is why warm-started answers carry a
+     conformance anchor rather than a bit-identity claim.  The cold Newton
+     seed pools on the CW knob only: AIFS shapes the map, not the seed. *)
   let default_x0 (s : Strategy_space.t) = 2. /. float_of_int (s.cw + 1) in
   let x0 =
-    match x0 with
-    | Some x0 ->
-        if Array.length x0 <> c then
-          invalid_arg "Solver.solve_strategy_classes: x0 length mismatch";
-        Array.mapi
-          (fun j g -> if g > 0. && g < 1. then g else default_x0 ss.(j))
-          x0
-    | None -> (
-        match tau_hint with
-        | None -> (
-            match algo with
-            | Newton -> (
-                (* Proxy seed on the CW knob only — AIFS shapes the map,
-                   not the seed, and a CW-only strategy profile must seed
-                   bit-identically to {!solve_classes} (the degenerate
-                   conformance group compares the two paths). *)
-                let cws = Array.map (fun (s : Strategy_space.t) -> s.cw) ss in
-                match newton_cold_x0 ?telemetry params ~ws:cws ~ks with
-                | Some x0 -> x0
-                | None -> Array.map default_x0 ss)
-            | Picard -> Array.map default_x0 ss)
-        | Some hint ->
-            Array.map
-              (fun s ->
-                match hint s with
-                | Some g when g > 0. && g < 1. -> g
-                | _ -> default_x0 s)
-              ss)
+    match (tau_hint, algo) with
+    | None, Newton -> (
+        let cws = Array.map (fun (s : Strategy_space.t) -> s.cw) ss in
+        match newton_cold_x0 ?telemetry params ~ws:cws ~ks with
+        | Some x0 -> x0
+        | None -> Array.map default_x0 ss)
+    | None, Picard -> Array.map default_x0 ss
+    | Some hint, _ ->
+        Array.map
+          (fun s ->
+            match hint s with
+            | Some g when g > 0. && g < 1. -> g
+            | _ -> default_x0 s)
+          ss
   in
   let taus, iters, converged =
-    run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step ~newton_step x0
+    run_class_fixed_point ?telemetry ~algo ~tol ~max_iter ~step
+      ~newton_step:(rank_one_newton_step ~m ~ss ~ks)
+      x0
   in
   (match iterations with Some r -> r := iters | None -> ());
   let ps = class_ps ~ks taus in
@@ -468,119 +304,42 @@ let solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ?x0
     converged;
   }
 
-let solve_strategy_classes ?telemetry ?iterations ?tau_hint ?(tol = 1e-14)
-    ?(algo = Newton) ?(max_iter = 50_000) (params : Params.t) classes =
-  solve_strategy_classes_core ?telemetry ?iterations ?tau_hint ~tol ~algo
-    ~max_iter params classes
-
-let solve_batch ?telemetry ?(tol = 1e-14) ?(algo = Newton)
-    ?(max_iter = 50_000) (params : Params.t) problems =
-  (* Sweep columns vary one knob between consecutive points, so the
-     previous point's τ vector is a near-fixed-point start for the next —
-     position-wise when the class shape repeats (the common case), else
-     matched by strategy.  Newton from a warm start typically converges
-     in 2–4 accepted steps. *)
-  let prev : (class_solution * Strategy_space.t array) option ref = ref None in
-  Array.map
-    (fun classes ->
-      let ss = Array.of_list (List.map fst classes) in
-      let x0 =
-        match !prev with
-        | Some (sol, prev_ss) when Array.length prev_ss = Array.length ss ->
-            Some
-              (Array.of_list (List.map fst sol.class_pairs))
-        | Some (sol, prev_ss) ->
-            (* Shape changed: carry over per-strategy matches, let the
-               core fill the rest with the cold default. *)
-            let taus = Array.of_list (List.map fst sol.class_pairs) in
-            Some
-              (Array.map
-                 (fun s ->
-                   let found = ref 0. in
-                   Array.iteri
-                     (fun i s' ->
-                       if Strategy_space.compare s s' = 0 then
-                         found := taus.(i))
-                     prev_ss;
-                   !found)
-                 ss)
-        | None -> None
-      in
-      let sol =
-        solve_strategy_classes_core ?telemetry ?x0 ~tol ~algo ~max_iter params
-          classes
-      in
-      prev := Some (sol, ss);
-      sol)
-    problems
-
 let solve_profile ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter
-    (params : Params.t) cws =
-  let n = Array.length cws in
+    (params : Params.t) (strategies : Strategy_space.t array) =
+  let n = Array.length strategies in
   if n = 0 then invalid_arg "Solver.solve_profile: empty network";
+  (* Group equal strategies into classes: nodes sharing a strategy share
+     (τ, p) by symmetry, so the fixed point collapses to one dimension per
+     distinct strategy — a 100-node profile with 3 distinct strategies
+     costs the same as n = 3.  Classes come out in canonical
+     {!Strategy_space.compare} order (ascending window on CW-only
+     profiles), so any permutation of the profile solves the identical
+     class problem. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun i j -> Strategy_space.compare strategies.(i) strategies.(j))
+    order;
+  let class_of = Array.make n 0 in
+  let classes = ref [] and c = ref 0 in
   Array.iter
-    (fun w -> if w < 1 then invalid_arg "Solver.solve_profile: window must be >= 1")
-    cws;
-  (* Group equal windows into classes: nodes sharing a window share (τ, p)
-     by symmetry, so the fixed point collapses to one dimension per
-     distinct window — a 100-node profile with 3 distinct windows costs the
-     same as n = 3. *)
-  let classes = Hashtbl.create 8 in
-  Array.iter
-    (fun w ->
-      Hashtbl.replace classes w (1 + Option.value ~default:0 (Hashtbl.find_opt classes w)))
-    cws;
-  let class_list =
-    Hashtbl.fold (fun w k acc -> (w, k) :: acc) classes []
-    |> List.sort compare
-  in
-  let iters = match iterations with Some r -> r | None -> ref 0 in
+    (fun i ->
+      let s = strategies.(i) in
+      (match !classes with
+      | (s', k) :: rest when Strategy_space.equal s s' ->
+          classes := (s', k + 1) :: rest
+      | _ ->
+          classes := (s, 1) :: !classes;
+          incr c);
+      class_of.(i) <- !c - 1)
+    order;
   let solved =
-    solve_classes ?telemetry ~iterations:iters ?tau_hint ?tol ?algo ?max_iter
-      params class_list
+    solve_classes ?telemetry ?iterations ?tau_hint ?tol ?algo ?max_iter params
+      (List.rev !classes)
   in
-  let by_window = Hashtbl.create 8 in
-  List.iter2
-    (fun (w, _) tp -> Hashtbl.replace by_window w tp)
-    class_list solved.class_pairs;
-  let taus = Array.map (fun w -> fst (Hashtbl.find by_window w)) cws in
-  let ps = Array.map (fun w -> snd (Hashtbl.find by_window w)) cws in
-  { taus; ps; iterations = !iters; converged = solved.converged }
-
-let solve_with_deviant ?telemetry ?(tol = 1e-14) ?(max_iter = 50_000)
-    (params : Params.t) ~n ~w ~w_dev =
-  if n < 2 then invalid_arg "Solver.solve_with_deviant: need n >= 2";
-  if w < 1 || w_dev < 1 then
-    invalid_arg "Solver.solve_with_deviant: windows must be >= 1";
-  let m = params.max_backoff_stage in
-  (* Two-class reduction: n−1 conformers at τ, one deviant at τ_d.
-     p_d = 1 − (1−τ)^{n−1};  p = 1 − (1−τ)^{n−2}·(1−τ_d). *)
-  let step x =
-    let tau = x.(0) and tau_dev = x.(1) in
-    let others = (1. -. tau) ** float_of_int (n - 2) in
-    let p = Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau_dev))) in
-    let p_dev =
-      Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau)))
-    in
-    [| Bianchi.tau_of_p ~w ~m p; Bianchi.tau_of_p ~w:w_dev ~m p_dev |]
-  in
-  let x0 = [| 2. /. float_of_int (w + 1); 2. /. float_of_int (w_dev + 1) |] in
-  let outcome =
-    Numerics.Fixed_point.solve ?telemetry ~damping:0.5 ~tol ~max_iter step x0
-  in
-  let tau = outcome.value.(0) and tau_dev = outcome.value.(1) in
-  let others = (1. -. tau) ** float_of_int (n - 2) in
-  (* Clamp like every other exit path: float round-off in the product must
-     not leak a collision probability epsilon-outside [0, 1]. *)
-  let p =
-    Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau_dev)))
-  in
-  let p_dev =
-    Prelude.Util.clamp ~lo:0. ~hi:1. (1. -. (others *. (1. -. tau)))
-  in
+  let pairs = Array.of_list solved.class_pairs in
   {
-    deviant = (tau_dev, p_dev);
-    conformer = (tau, p);
-    iterations = outcome.iterations;
-    converged = outcome.converged;
+    taus = Array.map (fun j -> fst pairs.(j)) class_of;
+    ps = Array.map (fun j -> snd pairs.(j)) class_of;
+    iterations = solved.iterations;
+    converged = solved.converged;
   }

@@ -1,12 +1,17 @@
 (** Coupled fixed point of the heterogeneous network model.
 
     Combining eq. 2 (τ_i from p_i and W_i) with eq. 3
-    (p_i = 1 − Π_{j≠i}(1 − τ_j)) gives 2n equations in 2n unknowns; we solve
-    the equivalent n-dimensional fixed point on the τ vector.  The class
-    solvers run a damped-Newton iteration on the defect by default — the
-    Jacobian of the class-space map is diagonal plus rank-one, so each
-    Newton step costs O(c) via Sherman–Morrison — and fall back to the
-    damped Picard sweep on any refused, singular, or non-contracting step.
+    (p_i = 1 − Π_{j≠i}(1 − τ_j)) gives 2n equations in 2n unknowns.  Nodes
+    playing the same strategy share (τ, p) by symmetry, so the system is
+    solved in class space: one unknown per distinct strategy.  The paper's
+    CW-only game, its unilateral deviations (Lemma 4) and the multi-knob
+    (CW, AIFS, TXOP, rate) game are all instances of the one class
+    solver, {!solve_classes}; {!solve_profile} groups a per-node profile
+    into its classes.  The class solver runs a damped-Newton iteration on
+    the defect by default — the Jacobian of the class-space map is
+    diagonal plus rank-one, so each Newton step costs O(c) via
+    Sherman–Morrison — and falls back to the damped Picard sweep on any
+    refused, singular, or non-contracting step.
     [1] proves uniqueness for homogeneous windows; for the heterogeneous
     profiles used in the experiments both iterations converge to the same
     point from any interior start (a property the test suite probes from
@@ -27,36 +32,18 @@ type algo =
 
 type class_solution = {
   class_pairs : (float * float) list;
-      (** per-class (τ, p) in input order; for strategy classes τ is the
-          {e effective} transmission probability (AIFS-discounted) *)
+      (** per-class (τ, p) in input order; τ is the {e effective}
+          transmission probability (AIFS-discounted) *)
   iterations : int;  (** map evaluations spent by the underlying solver *)
   converged : bool;  (** whether the final defect fell below [tol] *)
 }
-
-type deviant_solution = {
-  deviant : float * float;     (** (τ_dev, p_dev) of the deviant *)
-  conformer : float * float;   (** (τ, p) of each conformer *)
-  iterations : int;
-  converged : bool;
-}
-
-val solve :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?max_iter:int -> Params.t -> int array -> solution
-(** [solve params cws] solves the network in which node i uses initial
-    window [cws.(i)] by per-node damped Picard iteration.  All windows must
-    be ≥ 1; the array must be non-empty.  Defaults: [tol = 1e-13],
-    [max_iter = 20_000].  Convergence telemetry (span,
-    ["solver_convergence"] and ["residual_trajectory"] events) flows
-    through {!Numerics.Fixed_point.solve} on [telemetry] (default: the
-    global registry). *)
 
 val solve_homogeneous :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref -> ?guess:float ->
   ?tol:float -> Params.t -> n:int -> w:int -> float * float
 (** [(τ, p)] for [n ≥ 1] nodes all using window [w]: the scalar fixed point
     τ = τ(1 − (1−τ)^{n−1}), solved by Brent's method on the defect.  Orders
-    of magnitude faster than the vector solve; used by the CW sweeps.
+    of magnitude faster than the class solve; used by the CW sweeps.
     [iterations], when given, receives Brent's iteration count (0 for the
     trivial n = 1 case) — the scalar path's analogue of
     [solution.iterations]; the same count is reported in a
@@ -69,98 +56,49 @@ val solve_homogeneous :
     {e not} bit level — callers that promise bit-stability (the memoized
     oracle's default path) must not pass a guess. *)
 
-val solve_with_deviant :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?max_iter:int -> Params.t -> n:int -> w:int -> w_dev:int ->
-  deviant_solution
-(** One deviant at window [w_dev] among [n ≥ 2] nodes whose other n−1
-    members use [w].  Solves the reduced 2-dimensional fixed point; used by
-    the deviation analyses (Lemma 4, Sec. V.D/V.E) where the full vector
-    solve would be wasteful.  All four returned probabilities are clamped
-    into [0, 1] (round-off in the final recomputation must not leak an
-    epsilon-outside value), and [converged] reports the underlying
-    fixed-point outcome instead of being assumed. *)
-
 val solve_classes :
-  ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(int -> float option) ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
-  Params.t -> (int * int) list -> class_solution
-(** [solve_classes params [(w1, k1); …]] solves a network of Σk_c nodes in
-    which [k_c] nodes share window [w_c], reducing the fixed point to one
-    (τ, p) pair per class:
-
-    p_c = 1 − Π_{c'} (1−τ_{c'})^{k_{c'}} / (1−τ_c).
-
-    Returns the per-class [(τ_c, p_c)] in input order together with the
-    iteration count and the {e real} convergence flag.  This is what the
-    coalition analyses use — a 3-class problem costs the same as n = 3.
-    Windows must be ≥ 1 and counts ≥ 1; classes may repeat a window.
-    [algo] defaults to [Newton] (the Jacobian is computed from
-    {!Bianchi.dtau_dp} and the prefix/suffix product derivatives); pass
-    [Picard] to force the reference iteration.  [tau_hint w] may seed
-    class [w]'s starting iterate with a τ from a neighbouring solved
-    problem (warm start); hints outside (0, 1) are ignored.  Both
-    iterations converge to the same fixed point from any interior start,
-    so hints trade bit-stability for iterations exactly like
-    {!solve_homogeneous}'s [guess]. *)
-
-val solve_strategy_classes :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
   ?tau_hint:(Strategy_space.t -> float option) ->
   ?tol:float -> ?algo:algo -> ?max_iter:int ->
   Params.t -> (Strategy_space.t * int) list -> class_solution
-(** Multi-knob analogue of {!solve_classes}: [k_c] nodes share strategy
-    [s_c].  AIFS couples into the fixed point through an eligibility
-    factor — a node deferring [a] extra slots after every busy period only
-    reaches a transmission slot with probability (1 − p)^a in the
-    mean-field model, so its effective per-slot transmission probability
-    is τ' = (1 − p)^a · τ_bianchi(W, p), and it is τ' that enters every
-    other node's collision probability.  The Newton Jacobian carries the
-    eligibility factor through the product rule:
-    φ' = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB.  TXOP and rate leave the
-    contention fixed point untouched (they are priced in channel occupancy
-    and utility downstream).  Returns per-class [(τ'_c, p_c)] in input
-    order.  [tau_hint s] warm-starts class [s] like {!solve_classes}'s
-    window-keyed hint — this is the multi-knob end of the PR 7 warm-start
-    throughline.  At [aifs = 0] for every class the iteration map is the
-    {!solve_classes} map composed with a multiplication by 1.0 — callers
-    that need the bit-identity guarantee for the degenerate subspace
-    should branch to {!solve_classes} instead (as {!Model.solve_strategies}
-    does). *)
+(** [solve_classes params [(s1, k1); …]] solves a network of Σk_c nodes in
+    which [k_c] nodes play strategy [s_c], reducing the fixed point to one
+    (τ, p) pair per class:
 
-val solve_batch :
-  ?telemetry:Telemetry.Registry.t ->
-  ?tol:float -> ?algo:algo -> ?max_iter:int ->
-  Params.t -> (Strategy_space.t * int) list array -> class_solution array
-(** [solve_batch params problems] solves a sweep column of strategy-class
-    problems in order, reusing each point's τ vector as the next point's
-    starting iterate — position-wise when consecutive problems share a
-    class shape (the common case in sweep grids), matched by strategy when
-    the shape changes.  Newton from a warm start typically needs 2–4
-    accepted steps, so a dense sweep amortizes to a fraction of the cold
-    per-point cost.  Answers agree with per-point cold solves at tolerance
-    level, {e not} bit level — the batched path is for sweeps and grids,
-    not for the oracle's bit-stable memoized entries. *)
+    p_c = 1 − Π_{c'} (1−τ_{c'})^{k_{c'}} / (1−τ_c).
+
+    AIFS couples into the fixed point through an eligibility factor — a
+    node deferring [a] extra slots after every busy period only reaches a
+    transmission slot with probability (1 − p)^a in the mean-field model,
+    so its effective per-slot transmission probability is
+    τ' = (1 − p)^a · τ_bianchi(W, p), and it is τ' that enters every
+    other node's collision probability.  At [aifs = 0] the map is eq. 2
+    itself.  TXOP and rate leave the contention fixed point untouched
+    (they are priced in channel occupancy and utility downstream).
+
+    Returns per-class [(τ'_c, p_c)] in input order together with the
+    iteration count and the {e real} convergence flag.  Strategies must
+    pass {!Strategy_space.validate} and counts must be ≥ 1; classes may
+    repeat a strategy.  [algo] defaults to [Newton] (rank-one Jacobian,
+    φ' = (1−p)^a·dτB/dp − a·(1−p)^{a−1}·τB); pass [Picard] to force the
+    reference iteration.  [tau_hint s] may seed class [s]'s starting
+    iterate with a τ from a neighbouring solved problem (warm start);
+    hints outside (0, 1) are ignored.  Both iterations converge to the
+    same fixed point from any interior start, so hints trade
+    bit-stability for iterations exactly like {!solve_homogeneous}'s
+    [guess].  Defaults: [tol = 1e-14], [max_iter = 50_000]. *)
 
 val solve_profile :
   ?telemetry:Telemetry.Registry.t -> ?iterations:int ref ->
-  ?tau_hint:(int -> float option) ->
+  ?tau_hint:(Strategy_space.t -> float option) ->
   ?tol:float -> ?algo:algo -> ?max_iter:int ->
-  Params.t -> int array -> solution
-(** [solve_profile params cws] solves the same network as {!solve} but
-    class-reduced: nodes sharing a window share (τ, p) by symmetry, so the
-    profile is grouped into distinct-window classes (sorted ascending, so
-    any permutation of [cws] solves the identical class problem), handed to
-    {!solve_classes}, and the per-class pairs are expanded back to per-node
-    arrays in input order.  This is the payoff oracle's canonical solve
-    entry: orders of magnitude cheaper than the n-dimensional Picard
-    iteration when the profile has few distinct windows (the common case in
-    repeated games), and permutation-invariant by construction.
-    [converged] is threaded from the underlying class solve — it is no
-    longer assumed [true]. *)
-
-val collision_probabilities : float array -> float array
-(** [collision_probabilities taus] evaluates eq. 3 for every node, using
-    prefix/suffix products so nodes with τ = 1 (window 1) are handled
-    without dividing by zero. *)
+  Params.t -> Strategy_space.t array -> solution
+(** [solve_profile params strategies] solves the network in which node i
+    plays [strategies.(i)]: the profile is grouped into distinct-strategy
+    classes in canonical {!Strategy_space.compare} order (ascending window
+    on CW-only profiles, so any permutation solves the identical class
+    problem), handed to {!solve_classes}, and the per-class pairs are
+    expanded back to per-node arrays in input order.  This is the entry
+    every profile solve in the stack goes through.  Nodes sharing a
+    strategy get bit-identical (τ, p).  [converged] is threaded from the
+    class solve. *)

@@ -34,7 +34,9 @@ let test_backoff_slots_hand_computed () =
 
 let test_delay_of_profile () =
   let cws = [| 32; 128 |] in
-  let s = Dcf.Solver.solve default cws in
+  let s =
+    Dcf.Solver.solve_profile default (Array.map Dcf.Strategy_space.of_cw cws)
+  in
   let views = Dcf.Delay.of_profile default ~taus:s.taus ~ps:s.ps ~cws in
   (* The aggressive node delivers more often, so it waits less. *)
   Alcotest.(check bool) "smaller window, shorter delay" true
@@ -546,24 +548,44 @@ let test_detection_validation () =
 
 (* {1 Solver.solve_classes and coalitions} *)
 
+(* The class reduction against the unreduced per-node reference: 1–8
+   classes (windows may repeat) over the whole window range, both access
+   modes, both algorithms. *)
 let test_solve_classes_matches_full_solve =
-  QCheck.Test.make ~name:"class solver matches the vector solver" ~count:30
-    QCheck.(triple (int_range 1 6) (int_range 1 6) (pair (int_range 1 256) (int_range 1 256)))
-    (fun (k1, k2, (w1, w2)) ->
-      let classes = Dcf.Solver.solve_classes default [ (w1, k1); (w2, k2) ] in
-      let cws = Array.append (Array.make k1 w1) (Array.make k2 w2) in
-      let s = Dcf.Solver.solve default cws in
-      match classes.class_pairs with
-      | [ (tau1, p1); (tau2, p2) ] ->
-          Prelude.Util.approx_equal ~eps:1e-6 tau1 s.taus.(0)
-          && Prelude.Util.approx_equal ~eps:1e-6 p1 s.ps.(0)
-          && Prelude.Util.approx_equal ~eps:1e-6 tau2 s.taus.(k1)
-          && Prelude.Util.approx_equal ~eps:1e-6 p2 s.ps.(k1)
-      | _ -> false)
+  QCheck.Test.make ~name:"class solver matches the vector solver" ~count:60
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 1 8)
+           (pair (int_range 1 2048) (int_range 1 4)))
+        bool bool)
+    (fun (classes, rts, newton) ->
+      let params = if rts then Dcf.Params.rts_cts else default in
+      let algo = if newton then Dcf.Solver.Newton else Dcf.Solver.Picard in
+      let solved =
+        Dcf.Solver.solve_classes ~algo params
+          (List.map (fun (w, k) -> (Dcf.Strategy_space.of_cw w, k)) classes)
+      in
+      let cws =
+        Array.concat (List.map (fun (w, k) -> Array.make k w) classes)
+      in
+      let reference = Reference_solver.solve params cws in
+      QCheck.assume reference.converged;
+      let first = ref 0 in
+      solved.converged
+      && List.for_all2
+           (fun (tau, p) (_, k) ->
+             let i = !first in
+             first := i + k;
+             Prelude.Util.approx_equal ~eps:1e-6 tau reference.taus.(i)
+             && Prelude.Util.approx_equal ~eps:1e-6 p reference.ps.(i))
+           solved.class_pairs classes)
 
 let test_solve_classes_single_class_is_homogeneous () =
   let tau, p = Dcf.Solver.solve_homogeneous default ~n:7 ~w:64 in
-  match (Dcf.Solver.solve_classes default [ (64, 7) ]).class_pairs with
+  match
+    (Dcf.Solver.solve_classes default [ (Dcf.Strategy_space.of_cw 64, 7) ])
+      .class_pairs
+  with
   | [ (tau', p') ] ->
       check_close ~eps:1e-9 "tau" tau tau';
       check_close ~eps:1e-9 "p" p p'

@@ -183,15 +183,20 @@ let test_lemma4_deviation_ordering =
   QCheck.Test.make ~name:"lemma 4 payoff ordering" ~count:40
     QCheck.(pair (int_range 2 10) (int_range 16 256))
     (fun (n, w) ->
-      let uniform = Macgame.Oracle.payoff_uniform (Macgame.Oracle.analytic small) ~n ~w in
+      let oracle = Macgame.Oracle.analytic small in
+      let uniform = Macgame.Oracle.payoff_uniform oracle ~n ~w in
       let down = Stdlib.max 1 (w / 2) and up = Stdlib.min 512 (w * 2) in
       QCheck.assume (down < w && up > w);
-      let dv_down = Dcf.Model.with_deviant small ~n ~w ~w_dev:down in
-      let dv_up = Dcf.Model.with_deviant small ~n ~w ~w_dev:up in
-      dv_down.deviant.utility > uniform -. 1e-12
-      && dv_down.conformer.utility < uniform +. 1e-12
-      && dv_up.deviant.utility < uniform +. 1e-12
-      && dv_up.conformer.utility > uniform -. 1e-12)
+      (* Node 0 deviates, node 1 conforms: the path unilateral_gain runs. *)
+      let deviate w_dev =
+        Macgame.Oracle.payoffs_profile oracle
+          (Macgame.Profile.with_deviant ~n ~w ~w_dev)
+      in
+      let u_down = deviate down and u_up = deviate up in
+      u_down.(0) > uniform -. 1e-12
+      && u_down.(1) < uniform +. 1e-12
+      && u_up.(0) < uniform +. 1e-12
+      && u_up.(1) > uniform -. 1e-12)
 
 let test_unilateral_gain_signs () =
   let w_star = Macgame.Equilibrium.efficient_cw (Macgame.Oracle.analytic default) ~n:5 in

@@ -71,17 +71,19 @@ let test_p_hn_matches_model () =
   check_bits "degraded utility" v.Dcf.Model.utility
     (Macgame.Oracle.payoff_uniform oracle ~n:6 ~w:64)
 
-let test_payoffs_match_model_solve () =
-  (* The class-reduced path agrees with the general heterogeneous solve to
-     solver tolerance (they iterate different-dimensional fixed points). *)
+let test_payoffs_match_reference () =
+  (* The class-reduced path agrees with the unreduced per-node reference
+     iteration to solver tolerance (they iterate different-dimensional
+     fixed points). *)
   let oracle, _ = fresh () in
   let profile = [| 32; 64; 128; 64; 32 |] in
-  let direct = (Dcf.Model.solve params profile).Dcf.Model.utilities in
+  let direct = Reference_solver.utilities params profile in
   let via_oracle = Macgame.Oracle.payoffs oracle profile in
   Array.iteri
     (fun i u ->
       if not (Prelude.Util.approx_equal ~eps:1e-6 direct.(i) u) then
-        Alcotest.failf "node %d: model %.12g vs oracle %.12g" i direct.(i) u)
+        Alcotest.failf "node %d: reference %.12g vs oracle %.12g" i direct.(i)
+          u)
     via_oracle
 
 (* {1 Permutation invariance} *)
@@ -286,7 +288,10 @@ let test_nonconverged_surfaces_at_every_layer =
     (fun (w_a, w_b) ->
       let profile = Array.concat [ Array.make 3 w_a; Array.make 3 w_b ] in
       (* Solver layer. *)
-      let classes = [ (min w_a w_b, 3); (max w_a w_b, 3) ] in
+      let classes =
+        [ (Dcf.Strategy_space.of_cw (min w_a w_b), 3);
+          (Dcf.Strategy_space.of_cw (max w_a w_b), 3) ]
+      in
       let solver_says =
         not (Dcf.Solver.solve_classes ~max_iter:1 params classes).converged
       in
@@ -387,8 +392,10 @@ let () =
           Alcotest.test_case "uniform view = Dcf.Model.homogeneous" `Quick
             test_uniform_matches_model_homogeneous;
           Alcotest.test_case "p_hn threads through" `Quick test_p_hn_matches_model;
+          (* The name predates the move of the per-node Picard iteration
+             from Dcf.Model.solve into test/reference_solver.ml. *)
           Alcotest.test_case "payoffs vs Dcf.Model.solve" `Quick
-            test_payoffs_match_model_solve;
+            test_payoffs_match_reference;
         ] );
       ( "permutation invariance",
         [

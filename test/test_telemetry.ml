@@ -543,7 +543,10 @@ let names events = List.map (fun (e : T.Event.t) -> e.T.Event.name) events
 let test_solver_emits_convergence () =
   let _, _, events =
     capture (fun r ->
-        Dcf.Solver.solve ~telemetry:r params [| 32; 64; 128 |])
+        Dcf.Solver.solve_classes ~telemetry:r ~algo:Picard params
+          (List.map
+             (fun w -> (Dcf.Strategy_space.of_cw w, 1))
+             [ 32; 64; 128 ]))
   in
   Alcotest.(check bool) "solver_convergence emitted" true
     (List.mem "solver_convergence" (names events));
@@ -569,7 +572,10 @@ let test_homogeneous_iteration_count () =
   let _ = Dcf.Solver.solve_homogeneous ~iterations:iterations1 params ~n:1 ~w:64 in
   Alcotest.(check int) "n=1 is closed-form" 0 !iterations1;
   let ic = ref (-1) in
-  let _ = Dcf.Solver.solve_classes ~iterations:ic params [ (64, 3); (128, 4) ] in
+  let _ =
+    Dcf.Solver.solve_classes ~iterations:ic params
+      [ (Dcf.Strategy_space.of_cw 64, 3); (Dcf.Strategy_space.of_cw 128, 4) ]
+  in
   Alcotest.(check bool) "class iterations reported" true (!ic > 0)
 
 let test_repeated_game_cache_and_events () =
