@@ -1,6 +1,8 @@
 type point = { x : float; y : float }
 
-let distance_sq a b =
+(* Inlined so [within] returns a bool without boxing the distance: the
+   spatial core calls it per corruption check. *)
+let[@inline] distance_sq a b =
   let dx = a.x -. b.x and dy = a.y -. b.y in
   (dx *. dx) +. (dy *. dy)
 

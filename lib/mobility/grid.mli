@@ -9,9 +9,10 @@
 
     Queries return a {e superset} of the requested disk — the cells
     overlapping the padded bounding square — and callers apply the exact
-    {!Geom.within} predicate.  {!query} does that filtering itself and is
-    the reference for the property tests; {!iter_candidates} leaves it to
-    the caller's hot loop.
+    {!Geom.within} predicate.  {!neighbourhoods} does that filtering for
+    every id at once; {!query} does it for one id and is the reference
+    for the property tests; {!iter_candidates} leaves it to the caller's
+    hot loop.
 
     The structure is not thread-safe; shard it (one grid per domain)
     rather than sharing it. *)
@@ -50,19 +51,36 @@ val move : t -> int -> Geom.point -> unit
 
     @raise Invalid_argument on negative coordinates. *)
 
-val iter_candidates : t -> radius:float -> float -> float -> (int -> unit) -> unit
-(** [iter_candidates t ~radius x y f] applies [f] to every {e present} id
+val iter_candidates : t -> radius:float -> int -> (int -> unit) -> unit
+(** [iter_candidates t ~radius i f] applies [f] to every {e present} id
     in the cells overlapping the padded square of half-width [radius]
-    around [(x, y)] — a superset of the ids within [radius]; the caller
-    filters exactly.  Ids offered (pre-filter) accumulate into
+    around id [i]'s coordinates ([i] itself need not be present, and is
+    offered when it is) — a superset of the ids within [radius]; the
+    caller filters exactly.  Ids offered (pre-filter) accumulate into
     {!candidates}.
 
     @raise Invalid_argument on a negative radius. *)
 
+val neighbourhoods :
+  t -> range:float -> cs_range:float -> int array array * int array
+(** [neighbourhoods t ~range ~cs_range] is [(hoods, decode)]: [hoods.(i)]
+    holds the present ids other than [i] within [cs_range] of it by the
+    exact {!Geom.within} test — first the [decode.(i)] of them within
+    [range], ascending, then the rest, ascending.  The decode prefix and
+    the whole array are the unit-disk neighbour sets of
+    [Netsim.Spatial.run_grid] (equal to {!Topology.adjacency} of the same
+    coordinates at [range] and at [cs_range] when every id is present),
+    stored as one array per id.  Built from {!iter_candidates} through
+    one reused buffer: the only allocations are the result arrays.
+
+    @raise Invalid_argument on a negative [range] or [cs_range < range]. *)
+
 val query : t -> radius:float -> int -> int list
 (** Present ids within exactly [radius] ({!Geom.within}) of id [i],
-    excluding [i] itself, in increasing order — matches the neighbour
-    lists of {!Topology.adjacency} when the grid holds every id. *)
+    excluding [i] itself, in increasing order.  Allocates a point per
+    candidate and sorts a list: it is the test oracle for
+    {!neighbourhoods} (and for the index against a brute-force scan), not
+    a production path. *)
 
 val candidates : t -> int
 (** Cumulative ids offered to query callbacks (pre-filter), the measure of

@@ -47,8 +47,9 @@ type tx = {
 type node = {
   id : int;
   window : int;
-  neighbors : int array;      (** decode (transmission) range *)
-  cs_neighbors : int array;   (** carrier-sense range (superset) *)
+  cs_neighbors : int array;
+      (** carrier-sense range, the decode (transmission) range first *)
+  decode : int;               (** decode neighbours at the front *)
   rng : Prelude.Rng.t;
   can_tx : bool;              (** has at least one neighbour to address *)
   tx : tx;                    (** reusable record (event core only) *)
@@ -109,8 +110,8 @@ let equal_result (a : result) (b : result) =
   && Array.length a.per_node = Array.length b.per_node
   && Array.for_all2 equal_stats a.per_node b.per_node
 
-(* Event kinds, packed with time and node id into a single calendar int:
-   [((t * 4 + kind) * n) + id] sorts by time, then kind, then node id —
+(* Event kinds, packed with the node id into a calendar key
+   [kind * n + id]: within a slot, keys sort by kind, then node id —
    exactly the intra-slot processing order the reference loop implies
    (resolutions, then channel releases, then backoff expiries). *)
 let kind_resolve = 0
@@ -155,13 +156,12 @@ type neighborhoods =
     }
 
 (* Grid-backed state threaded into the event core when neighbourhoods are
-   geometric: the airborne-transmitter index, the coordinates to query
-   around, and a flush that folds both grids' candidate/rebucket tallies
-   into the registry counters once per run (the grids count into plain
-   ints so the hot loop never takes the registry lock). *)
+   geometric: the airborne-transmitter index, its query radius, and a
+   flush that folds both grids' candidate/rebucket tallies into the
+   registry counters once per run (the grids count into plain ints so the
+   hot loop never takes the registry lock). *)
 type geo_state = {
   g_air : Mobility.Grid.t;
-  g_positions : Mobility.Geom.point array;
   g_radius : float;
   g_flush : Telemetry.Registry.t -> unit;
 }
@@ -181,7 +181,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (fun w -> if w < 1 then invalid_arg "Spatial.run: window must be >= 1")
       cws
   in
-  let n, neighbors_a, cs_neighbors_a, is_neighbor, in_cs, geo =
+  let n, cs_neighbors_a, decode_a, is_neighbor, in_cs, geo =
     match hoods with
     | Lists { adjacency; cs_adjacency } ->
         let n = Array.length adjacency in
@@ -221,9 +221,17 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         in
         let neighbor_sets = Array.map dense adjacency in
         let cs_sets = Array.map dense cs_adjacency in
+        (* Decode neighbours first, in the caller's order (the order the
+           destination draw indexes), then the carrier-sense-only ones. *)
+        let hood i =
+          let cs_only =
+            List.filter (fun j -> not neighbor_sets.(i).(j)) cs_adjacency.(i)
+          in
+          Array.of_list (adjacency.(i) @ cs_only)
+        in
         ( n,
-          Array.map Array.of_list adjacency,
-          Array.map Array.of_list cs_adjacency,
+          Array.init n hood,
+          Array.map List.length adjacency,
           (fun i j -> neighbor_sets.(i).(j)),
           (fun i j -> cs_sets.(i).(j)),
           None )
@@ -252,18 +260,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         in
         let candidates0 = Mobility.Grid.candidates g in
         let rebuckets0 = Mobility.Grid.rebuckets g in
-        let neighbors = Array.make n [||] in
-        let cs_neighbors = Array.make n [||] in
-        for i = 0 to n - 1 do
-          let cands = Mobility.Grid.query g ~radius:cs_range i in
-          cs_neighbors.(i) <- Array.of_list cands;
-          neighbors.(i) <-
-            Array.of_list
-              (List.filter
-                 (fun j ->
-                   Mobility.Geom.within ~range positions.(i) positions.(j))
-                 cands)
-        done;
+        let cs_neighbors, decode =
+          Mobility.Grid.neighbourhoods g ~range ~cs_range
+        in
         (* Airborne-transmitter index: every pair the eager corruption
            marking can couple (src→receiver→other src) spans at most two
            decode hops, so a 2·range candidate box is a superset of the
@@ -283,8 +282,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             + Mobility.Grid.rebuckets air)
         in
         ( n,
-          neighbors,
           cs_neighbors,
+          decode,
           (fun i j ->
             i <> j
             && Mobility.Geom.within ~range positions.(i) positions.(j)),
@@ -295,7 +294,6 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           Some
             {
               g_air = air;
-              g_positions = positions;
               g_radius = 2. *. range;
               g_flush = flush;
             } )
@@ -357,9 +355,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let txop_a =
     Array.map (fun (s : Dcf.Strategy_space.t) -> s.txop_frames) strategies
   in
-  let horizon = int_of_float (Float.ceil (duration /. sigma)) in
-  if horizon + 1 > max_int / (4 * n) then
-    invalid_arg "Spatial.run: horizon too large for event packing";
+  let slots = Float.ceil (duration /. sigma) in
+  if not (slots < 0x1p61) then
+    invalid_arg "Spatial.run: duration too long for the slot clock";
+  let horizon = int_of_float slots in
   let master = Prelude.Rng.create seed in
   let nodes =
     Array.init n (fun i ->
@@ -367,13 +366,13 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           {
             id = i;
             window = cws.(i);
-            neighbors = neighbors_a.(i);
             cs_neighbors = cs_neighbors_a.(i);
+            decode = decode_a.(i);
             rng =
               (match rng_of with
               | None -> Prelude.Rng.split master
               | Some f -> f i);
-            can_tx = Array.length neighbors_a.(i) > 0;
+            can_tx = decode_a.(i) > 0;
             tx =
               {
                 src = i;
@@ -430,6 +429,9 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
   let backoff_reset node =
     node.counter <- Prelude.Rng.int node.rng (node.window lsl node.stage)
   in
+  (* Trace records are built only when a trace is attached: the guard
+     keeps the untraced hot loop free of their allocation. *)
+  let tracing = Option.is_some trace in
   let emit event =
     match trace with None -> () | Some t -> Trace.record t event
   in
@@ -450,8 +452,54 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
     ref (fun nd _ _ -> nd.tx)
   in
   let register : (node -> tx -> unit) ref = ref (fun _ _ -> ()) in
-  let iter_airborne : (node -> int -> (tx -> unit) -> unit) ref =
+  (* [mark_airborne node tx now] runs [mark] against every airborne frame
+     that can interact with [node]'s new frame [tx]. *)
+  let mark_airborne : (node -> tx -> int -> unit) ref =
     ref (fun _ _ _ -> ())
+  in
+  (* Eager corruption marking of [node]'s new frame [tx] against one other
+     airborne frame. *)
+  let mark node tx now other =
+    if other != tx && nodes.(other.src).busy_until > now then begin
+      (* [other]'s frame is still on the air. *)
+      if other.src <> node.id && is_neighbor tx.dest other.src then begin
+        if in_cs node.id other.src then tx.corrupted_local <- true
+        else tx.corrupted_hidden <- true
+      end;
+      (* Symmetrically, the new frame may corrupt [other] if other is
+         still in its vulnerable window and we are audible at its
+         receiver — or if we ARE its receiver and just went deaf by
+         transmitting ourselves (same-slot start, so other's dest-busy
+         check could not see it). *)
+      if (not other.resolved) && now < other.vuln_end then begin
+        if other.dest = node.id then other.corrupted_local <- true
+        else if is_neighbor other.dest node.id then
+          if in_cs other.src node.id then other.corrupted_local <- true
+          else other.corrupted_hidden <- true
+      end
+    end
+  in
+  (* The CTS (and the data exchange) silences [centre]'s decode
+     neighbourhood until [finish]: every member but the source raises its
+     NAV. *)
+  let silence now src finish centre =
+    for k = 0 to centre.decode - 1 do
+      let j = centre.cs_neighbors.(k) in
+      if j <> src then begin
+        let nd = nodes.(j) in
+        if finish > nd.nav_until then begin
+          !raise_nav now nd finish;
+          if tracing then
+            emit
+              (Trace.Nav_defer
+                 {
+                   time = float_of_int now *. sigma;
+                   node = j;
+                   until = float_of_int finish *. sigma;
+                 })
+        end
+      end
+    done
   in
   let resolve now tx =
     tx.resolved <- true;
@@ -470,18 +518,20 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       else src.hidden_failures <- src.hidden_failures + 1;
       if rec_on then
         Telemetry.Recorder.instant recorder nid_collision now tx.src;
-      emit
-        (Trace.Collision
-           { time = float_of_int now *. sigma; nodes = [ tx.src ] });
+      if tracing then
+        emit
+          (Trace.Collision
+             { time = float_of_int now *. sigma; nodes = [ tx.src ] });
       src.retries <- src.retries + 1;
       if src.retries > retry_limit then begin
         src.drops <- src.drops + 1;
         src.retries <- 0;
         src.stage <- 0;
         if rec_on then Telemetry.Recorder.instant recorder nid_drop now tx.src;
-        emit (Trace.Drop { time = float_of_int now *. sigma; node = tx.src })
+        if tracing then
+          emit (Trace.Drop { time = float_of_int now *. sigma; node = tx.src })
       end
-      else src.stage <- Stdlib.min (src.stage + 1) m
+      else src.stage <- Int.min (src.stage + 1) m
     end
     else begin
       let finish = started + ts_slots_a.(tx.src) in
@@ -494,40 +544,26 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       success_tx_slots := !success_tx_slots + (clip finish - clip started);
       cover (clip now) (clip finish);
       if rec_on then Telemetry.Recorder.instant recorder nid_success now tx.src;
-      emit (Trace.Success { time = float_of_int now *. sigma; node = tx.src });
+      if tracing then
+        emit
+          (Trace.Success { time = float_of_int now *. sigma; node = tx.src });
       src.stage <- 0;
       src.retries <- 0;
-      (match params.mode with
+      match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
-          (* The CTS (and the data exchange) silences both neighbourhoods
-             until the ACK completes. *)
-          emit
-            (Trace.Cts
-               {
-                 time = float_of_int now *. sigma;
-                 src = tx.dest;
-                 dest = tx.src;
-               });
+          if tracing then
+            emit
+              (Trace.Cts
+                 {
+                   time = float_of_int now *. sigma;
+                   src = tx.dest;
+                   dest = tx.src;
+                 });
           let dest = nodes.(tx.dest) in
           !raise_busy now dest finish;
-          let silence j =
-            if j <> tx.src then begin
-              let nd = nodes.(j) in
-              if finish > nd.nav_until then begin
-                !raise_nav now nd finish;
-                emit
-                  (Trace.Nav_defer
-                     {
-                       time = float_of_int now *. sigma;
-                       node = j;
-                       until = float_of_int finish *. sigma;
-                     })
-              end
-            end
-          in
-          Array.iter silence dest.neighbors;
-          Array.iter silence src.neighbors)
+          silence now tx.src finish dest;
+          silence now tx.src finish src
     end;
     backoff_reset src
   in
@@ -536,7 +572,10 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (* Isolated node: nothing to send to; stay silent. *)
       backoff_reset node
     else begin
-      let dest = Prelude.Rng.pick node.rng node.neighbors in
+      (* The draw {!Prelude.Rng.pick} would make on the decode prefix. *)
+      let dest =
+        node.cs_neighbors.(Prelude.Rng.int node.rng node.decode)
+      in
       node.attempts <- node.attempts + 1;
       if rec_on then
         Telemetry.Recorder.instant recorder nid_tx_start now node.id;
@@ -546,36 +585,16 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
       (match params.mode with
       | Dcf.Params.Basic -> ()
       | Dcf.Params.Rts_cts ->
-          emit
-            (Trace.Rts
-               { time = float_of_int now *. sigma; src = node.id; dest }));
+          if tracing then
+            emit
+              (Trace.Rts
+                 { time = float_of_int now *. sigma; src = node.id; dest }));
       let tx = !obtain node dest now in
-      (* Eager corruption marking against every other airborne frame. *)
-      let dest_node = nodes.(dest) in
-      if dest_node.busy_until > now then
+      if nodes.(dest).busy_until > now then
         (* Receiver itself is transmitting and will miss the frame; it is a
            neighbour, so this counts as a local loss. *)
         tx.corrupted_local <- true;
-      !iter_airborne node now (fun other ->
-          if other != tx && nodes.(other.src).busy_until > now then begin
-            (* [other]'s frame is still on the air. *)
-            if other.src <> node.id && is_neighbor dest other.src then begin
-              if in_cs node.id other.src then tx.corrupted_local <- true
-              else tx.corrupted_hidden <- true
-            end;
-            (* Symmetrically, the new frame may corrupt [other] if other is
-               still in its vulnerable window and we are audible at its
-               receiver — or if we ARE its receiver and just went deaf by
-               transmitting ourselves (same-slot start, so other's dest-busy
-               check could not see it). *)
-            if (not other.resolved) && now < other.vuln_end then begin
-              if other.dest = node.id then other.corrupted_local <- true
-              else if is_neighbor other.dest node.id then
-                if in_cs other.src node.id then
-                  other.corrupted_local <- true
-                else other.corrupted_hidden <- true
-            end
-          end);
+      !mark_airborne node tx now;
       !register node tx
     end
   in
@@ -600,7 +619,8 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
              corrupted_hidden = false;
            });
       (register := fun _node tx -> active := tx :: !active);
-      (iter_airborne := fun _node _now f -> List.iter f !active);
+      (mark_airborne :=
+         fun node tx now -> List.iter (mark node tx now) !active);
       (* A node senses the channel idle when it is not transmitting, has no
          NAV, and no neighbour is transmitting. *)
       let senses_idle now node =
@@ -687,15 +707,37 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
         (fun tx -> if not tx.resolved then resolve tx.vuln_end tx)
         !active
   | Event_core ->
-      (* Allocation-free event core: a packed-int calendar replaces the
-         per-boundary node/active scans.  Intra-slot order (resolve, busy
-         release, NAV release, fire) and node-id order within each kind
-         reproduce the reference loop's phases bit-for-bit. *)
-      let cal = Prelude.Heap.create ~capacity:(4 * n) () in
-      let pack t kind id = (((t * 4) + kind) * n) + id in
-      let time_of e = e / (4 * n) in
+      (* Event core: a slot-ring calendar replaces the per-boundary
+         node/active scans.  Each event is keyed
+         [kind * n + id] within its slot, and {!Calendar.take} hands a
+         slot's keys back sorted, so the intra-slot order (resolve, busy
+         release, NAV release, fire; node id within each kind) reproduces
+         the reference loop's phases bit-for-bit.  The ring must outreach
+         every push: a backoff fire lands at most AIFS + (cw lsl m) slots
+         ahead, a resolution or release at most one frame (vulnerable
+         window, Ts or Tc) ahead, and nothing lands past the horizon. *)
+      let reach = ref 1 in
+      let backoff_span cw =
+        let rec widen w k =
+          if k = 0 || w >= horizon then Int.min w horizon
+          else widen (2 * w) (k - 1)
+        in
+        widen cw m
+      in
+      for i = 0 to n - 1 do
+        let a = aifs_a.(i) in
+        let fire =
+          if a >= horizon then horizon
+          else Int.min horizon (a + backoff_span cws.(i))
+        in
+        let frame =
+          Int.max vuln_slots_a.(i) (Int.max ts_slots_a.(i) tc_slots_a.(i))
+        in
+        reach := Int.max !reach (Int.max fire (Int.min horizon frame))
+      done;
+      let cal = Calendar.create ~reach:!reach ~capacity:(2 * n) in
       let push_event t kind id =
-        if t < horizon then Prelude.Heap.push cal (pack t kind id)
+        if t < horizon then Calendar.push cal t ((kind * n) + id)
       in
       (* Airborne transmissions, one slot per node (a node carries at most
          one outstanding frame); stale entries are pruned lazily while
@@ -711,7 +753,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
             (* Only slots past the defer end are consumed backoff; a
                freeze inside the defer keeps the backoff whole (the defer
                re-arms in full at the next unfreeze). *)
-            nd.counter <- nd.expiry - Stdlib.max t nd.defer_end;
+            nd.counter <- nd.expiry - Int.max t nd.defer_end;
             nd.expiry <- -1
           end
         end
@@ -730,7 +772,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           end
           else begin
             nd.defer_end <- t + a;
-            nd.expiry <- nd.defer_end + Stdlib.max nd.counter 0;
+            nd.expiry <- nd.defer_end + Int.max nd.counter 0;
             push_event nd.expiry kind_fire nd.id
           end
         end
@@ -776,47 +818,49 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
                  incr bag_len
                end;
                push_event tx.vuln_end kind_resolve node.id);
-          iter_airborne :=
-            fun _node now f ->
+          mark_airborne :=
+            fun node tx now ->
               let k = ref 0 in
               while !k < !bag_len do
                 let id = bag.(!k) in
-                let tx = nodes.(id).tx in
-                if tx.resolved && tx.finish <= now then begin
+                let other = nodes.(id).tx in
+                if other.resolved && other.finish <= now then begin
                   nodes.(id).in_bag <- false;
                   decr bag_len;
                   bag.(!k) <- bag.(!bag_len)
                 end
                 else begin
-                  f tx;
+                  mark node tx now other;
                   incr k
                 end
               done
-      | Some { g_air = air; g_positions = positions; g_radius; _ } ->
+      | Some { g_air = air; g_radius; _ } ->
           (* The global bag becomes the airborne grid: registration inserts
              the transmitter's cell, marking queries only the cells within
              the interference radius, and stale members are pruned lazily
              as queries meet them.  Candidates are staged through [scratch]
-             because pruning mutates the bucket being iterated. *)
+             (by one callback shared across attempts) because pruning
+             mutates the bucket being iterated. *)
           let scratch = Array.make n 0 in
+          let staged = ref 0 in
+          let stage j =
+            scratch.(!staged) <- j;
+            incr staged
+          in
           (register :=
              fun node tx ->
                Mobility.Grid.add air node.id;
                push_event tx.vuln_end kind_resolve node.id);
-          iter_airborne :=
-            fun node now f ->
-              let p = positions.(node.id) in
-              let len = ref 0 in
-              Mobility.Grid.iter_candidates air ~radius:g_radius p.x p.y
-                (fun j ->
-                  scratch.(!len) <- j;
-                  incr len);
-              for k = 0 to !len - 1 do
+          mark_airborne :=
+            fun node tx now ->
+              staged := 0;
+              Mobility.Grid.iter_candidates air ~radius:g_radius node.id stage;
+              for k = 0 to !staged - 1 do
                 let id = scratch.(k) in
-                let tx = nodes.(id).tx in
-                if tx.resolved && tx.finish <= now then
+                let other = nodes.(id).tx in
+                if other.resolved && other.finish <= now then
                   Mobility.Grid.remove air id
-                else f tx
+                else mark node tx now other
               done);
       (* Seed the calendar: every node that can transmit starts unfrozen
          with its initial AIFS defer and backoff pending. *)
@@ -829,18 +873,16 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
           end
           else nd.frozen <- true)
         nodes;
-      while not (Prelude.Heap.is_empty cal) do
-        let t = time_of (Prelude.Heap.min_elt cal) in
+      while not (Calendar.is_empty cal) do
+        let t = Calendar.take cal in
         n_starters := 0;
-        (* Drain every event in this slot; the packed order already yields
-           resolutions, then busy releases, then NAV releases, then fires,
-           each in ascending node id. *)
-        while
-          (not (Prelude.Heap.is_empty cal)) && time_of (Prelude.Heap.min_elt cal) = t
-        do
-          let e = Prelude.Heap.pop_min cal in
+        (* Process the slot's events in key order: resolutions, then busy
+           releases, then NAV releases, then fires, each in ascending node
+           id.  Events they push land in later slots. *)
+        for k = 0 to Calendar.due_count cal - 1 do
+          let e = Calendar.due cal k in
           let id = e mod n in
-          let kind = e / n land 3 in
+          let kind = e / n in
           if rec_detail then
             Telemetry.Recorder.instant recorder nid_event.(kind) t id;
           let nd = nodes.(id) in
@@ -874,15 +916,7 @@ let simulate ~driver ~telemetry ~retry_limit ~trace ~flight ~strategies
            post-resolution channel snapshot — same-slot starters cannot
            sense each other, so each starts regardless of what the ones
            before it just did. *)
-        for i = 1 to !n_starters - 1 do
-          let v = starters.(i) in
-          let j = ref (i - 1) in
-          while !j >= 0 && starters.(!j) > v do
-            starters.(!j + 1) <- starters.(!j);
-            decr j
-          done;
-          starters.(!j + 1) <- v
-        done;
+        Prelude.Util.sort_prefix starters !n_starters;
         for k = 0 to !n_starters - 1 do
           let nd = nodes.(starters.(k)) in
           nd.frozen <- true;

@@ -9,14 +9,25 @@
 
     The model is slot-quantised: time advances in σ-slots and frame
     durations are rounded to whole slots.  Scheduling is event-driven: a
-    packed-int calendar ({!Prelude.Heap}) orders backoff expiries,
+    slot-ring calendar ({!Calendar}) orders backoff expiries,
     vulnerable-window closes and busy/NAV releases by (slot, kind, node
-    id), so a channel-state transition costs O(log events) instead of a
-    scan over all nodes and airborne frames — and the steady-state loop
-    does not allocate.  {!run_reference} keeps the original
-    boundary-scanning loop; both produce bit-identical results under the
-    determinism contract (per-node RNG streams, starters launched in
-    node-id order within a slot).
+    id), so scheduling an event costs O(1) and draining a slot costs a
+    sort of that slot's few keys, instead of a scan over all nodes and
+    airborne frames.  The ring holds W slot heads, W the power of two
+    above the farthest any event can land ahead (max over nodes of
+    AIFS + (cw lsl m) and the frame slot counts, capped at the horizon),
+    so a run stores O(n + W) words for its calendar.
+
+    Allocation: once its buffers have grown, the event phase allocates
+    only the RNG's boxed 64-bit state — 3 words per draw, two draws per
+    attempt.  Measured on a 1 s, 10⁴-node {!run_grid} run (basic access,
+    cw 128, mean degree 12): 6.0 minor words per attempt, pinned at ≤ 8 by
+    a test.  Attaching a [trace] adds its event records.
+
+    {!run_reference} keeps the original boundary-scanning loop; both
+    produce bit-identical results under the determinism contract
+    (per-node RNG streams, starters launched in node-id order within a
+    slot).
 
     Access modes follow the parameter set:
     - basic: the whole data frame is vulnerable; a failed attempt occupies

@@ -7,8 +7,9 @@ let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
 (* SplitMix64 output function: advance by the golden gamma, then apply the
-   variant-13 mix of the counter. *)
-let bits64 t =
+   variant-13 mix of the counter.  Inlined into its callers so the mixed
+   output stays unboxed; only the state update allocates. *)
+let[@inline] bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   let z = t.state in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -36,15 +37,16 @@ let of_key ~seed key =
 (* 62 uniform bits as a non-negative OCaml int. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
 
+(* Rejection sampling below the largest multiple of [bound]; a top-level
+   loop rather than a local closure, so a draw allocates no environment. *)
+let rec draw_below t bound limit =
+  let v = bits t in
+  if v >= limit then draw_below t bound limit else v mod bound
+
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let max = (1 lsl 62) - 1 in
-  let limit = max - (max mod bound) in
-  let rec draw () =
-    let v = bits t in
-    if v >= limit then draw () else v mod bound
-  in
-  draw ()
+  draw_below t bound (max - (max mod bound))
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

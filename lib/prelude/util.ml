@@ -55,3 +55,49 @@ let fnv1a64 s =
   !h
 
 let hex64 h = Printf.sprintf "%016Lx" h
+
+(* Max-heap sift of [a.(root)] within the prefix [a.(0..len-1)]. *)
+let sift_down (a : int array) root len =
+  let v = a.(root) in
+  let i = ref root and sinking = ref true in
+  while !sinking do
+    let c = (2 * !i) + 1 in
+    if c >= len then sinking := false
+    else begin
+      let c = if c + 1 < len && a.(c + 1) > a.(c) then c + 1 else c in
+      if a.(c) > v then begin
+        a.(!i) <- a.(c);
+        i := c
+      end
+      else sinking := false
+    end
+  done;
+  a.(!i) <- v
+
+(* Insertion sort is the fast path (a calendar slot or a neighbourhood
+   holds a few dozen ints); heapsort bounds the rare large prefix at
+   O(len log len).  Neither allocates. *)
+let sort_prefix (a : int array) len =
+  if len < 0 || len > Array.length a then
+    invalid_arg "Util.sort_prefix: length out of bounds";
+  if len <= 32 then
+    for i = 1 to len - 1 do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    for root = (len / 2) - 1 downto 0 do
+      sift_down a root len
+    done;
+    for last = len - 1 downto 1 do
+      let top = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- top;
+      sift_down a 0 last
+    done
+  end

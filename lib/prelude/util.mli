@@ -40,3 +40,9 @@ val fnv1a64 : string -> int64
 
 val hex64 : int64 -> string
 (** 16-digit lower-case hex rendering of a 64-bit value. *)
+
+val sort_prefix : int array -> int -> unit
+(** [sort_prefix a len] sorts [a.(0)] … [a.(len − 1)] ascending in place
+    and leaves the rest of [a] untouched.  It never allocates: insertion
+    sort up to 32 elements, heapsort above.
+    @raise Invalid_argument unless [0 ≤ len ≤ Array.length a]. *)

@@ -589,6 +589,57 @@ let test_grid_move_incremental =
       done;
       !ok)
 
+(* Neighbour arrays (decode prefix, then carrier-sense-only members)
+   against the query oracle.  Points mix quarter-cell lattice sites
+   (bucket boundaries), uniform random coordinates, and partners offset
+   from lattice anchors by the exact Pythagorean vectors (45, 60) and
+   (75, 100) — distances of exactly 75 and 125, the decode and
+   carrier-sense radii.  Some ids are removed so absent centres and
+   absent candidates are covered too. *)
+let test_grid_neighbourhoods_match_query =
+  QCheck.Test.make ~name:"grid neighbourhoods = query + filter" ~count:100
+    QCheck.(
+      quad
+        (list_of_size Gen.(int_range 1 30) (pair (int_bound 26) (int_bound 26)))
+        (small_list
+           (pair (float_bound_inclusive 500.) (float_bound_inclusive 500.)))
+        (small_list small_nat) bool)
+    (fun (cells, randoms, removed, cs_wider) ->
+      let range = 75. in
+      let cs_range = if cs_wider then 125. else range in
+      let anchors = List.map grid_point cells in
+      let partners =
+        List.concat_map
+          (fun (p : Mobility.Geom.point) ->
+            [
+              { Mobility.Geom.x = p.x +. 45.; y = p.y +. 60. };
+              { Mobility.Geom.x = p.x +. 75.; y = p.y +. 100. };
+            ])
+          anchors
+      in
+      let randoms =
+        List.map (fun (x, y) -> { Mobility.Geom.x; y }) randoms
+      in
+      let pts = Array.of_list (anchors @ partners @ randoms) in
+      let n = Array.length pts in
+      let g = Mobility.Grid.create ~cell:grid_cell pts in
+      List.iter (fun k -> Mobility.Grid.remove g (k mod n)) removed;
+      let hoods, decode = Mobility.Grid.neighbourhoods g ~range ~cs_range in
+      let ok = ref (Array.length hoods = n && Array.length decode = n) in
+      for i = 0 to n - 1 do
+        let near, far =
+          List.partition
+            (fun j -> Mobility.Geom.within ~range pts.(i) pts.(j))
+            (Mobility.Grid.query g ~radius:cs_range i)
+        in
+        if
+          hoods.(i) <> Array.of_list (near @ far)
+          || decode.(i) <> List.length near
+          || near <> Mobility.Grid.query g ~radius:range i
+        then ok := false
+      done;
+      !ok)
+
 let geo_positions ~seed n =
   let w =
     Mobility.Waypoint.create ~seed
@@ -623,6 +674,136 @@ let test_run_grid_bit_matches_run () =
       ("rts-32", 32, 7, rts_cts, 150., 225.);
       ("cs=range-16", 16, 11, default, 120., 120.);
     ]
+
+(* The ring calendar's sizing corners: AIFS > 0 and TXOP > 1 strategies,
+   RTS/CTS, windows 1 and 1024 at max_backoff_stage 7 (1024·2⁷ slots
+   outreach the horizon, so the ring caps there), a finite retry limit,
+   and a horizon that cuts frames short.  Each case runs the event core
+   against the reference loop on adjacency lists, and the grid core
+   against the event core on the same positions. *)
+let test_spatial_ring_corners () =
+  let m7 = { default with max_backoff_stage = 7 } in
+  let m7_rts = { rts_cts with max_backoff_stage = 7 } in
+  let strategy ~cw ~aifs ~txop i =
+    { Dcf.Strategy_space.cw = cw i; aifs = aifs i; txop_frames = txop i;
+      rate = 1.0 }
+  in
+  let cases =
+    [
+      ( "aifs-txop/basic", default, None, 0.5,
+        strategy ~cw:(fun i -> 16 lsl (i mod 2)) ~aifs:(fun i -> i mod 3)
+          ~txop:(fun i -> 1 + (i mod 3)) );
+      ( "aifs-txop/rts", rts_cts, Some 2, 0.5,
+        strategy ~cw:(fun i -> 16 lsl (i mod 2)) ~aifs:(fun i -> 2 * (i mod 2))
+          ~txop:(fun i -> 1 + (i mod 4)) );
+      ( "w1/m7", m7, Some 3, 0.3,
+        strategy ~cw:(fun _ -> 1) ~aifs:(fun i -> i mod 2) ~txop:(fun _ -> 1) );
+      ( "w1/m7/rts", m7_rts, None, 0.3,
+        strategy ~cw:(fun _ -> 1) ~aifs:(fun _ -> 0)
+          ~txop:(fun i -> 1 + (i mod 2)) );
+      ( "w1024/m7/rts", m7_rts, Some 1, 1.0,
+        strategy ~cw:(fun _ -> 1024) ~aifs:(fun i -> i mod 4)
+          ~txop:(fun _ -> 2) );
+      ( "mid-frame", default, Some 4, 0.0123,
+        strategy ~cw:(fun _ -> 8) ~aifs:(fun _ -> 0) ~txop:(fun _ -> 3) );
+    ]
+  in
+  let late = ref 0 in
+  List.iter
+    (fun (label, params, retry_limit, duration, strategy) ->
+      List.iter
+        (fun seed ->
+          let n = 24 and range = 150. and cs_range = 210. in
+          let positions = geo_positions ~seed n in
+          let adjacency = Mobility.Topology.adjacency ~range positions in
+          let cs_adjacency =
+            Mobility.Topology.adjacency ~range:cs_range positions
+          in
+          let strategies = Array.init n strategy in
+          let cws =
+            Array.map (fun (s : Dcf.Strategy_space.t) -> s.cw) strategies
+          in
+          let config =
+            { Netsim.Spatial.params; adjacency; cws; duration; seed }
+          in
+          let fast =
+            Netsim.Spatial.run ~telemetry:(quiet ()) ~cs_adjacency ?retry_limit
+              ~strategies config
+          in
+          let slow =
+            Netsim.Spatial.run_reference ~telemetry:(quiet ()) ~cs_adjacency
+              ?retry_limit ~strategies config
+          in
+          let grid =
+            Netsim.Spatial.run_grid ~telemetry:(quiet ()) ?retry_limit
+              ~strategies ~params ~positions ~range ~cs_range ~cws ~duration
+              ~seed ()
+          in
+          if label = "mid-frame" then late := !late + fast.delivered_late;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed=%d: event core = reference" label seed)
+            true
+            (Netsim.Spatial.equal_result fast slow);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed=%d: grid core = event core" label seed)
+            true
+            (Netsim.Spatial.equal_result grid fast))
+        [ 1; 2; 3 ])
+    cases;
+  Alcotest.(check bool) "the short horizon cuts frames" true (!late > 0)
+
+(* Minor words per attempt in the event phase: the difference between a
+   long and a short run on the same inputs cancels the set-up.  Only the
+   RNG's boxed state should remain (two 3-word draws per attempt); the
+   bound leaves headroom for buffer growth, not for a per-attempt
+   allocation site. *)
+let test_spatial_words_per_attempt () =
+  let attempts (r : Netsim.Spatial.result) =
+    Array.fold_left
+      (fun acc (s : Netsim.Spatial.node_stats) -> acc + s.attempts)
+      0 r.per_node
+  in
+  let measure label run =
+    let w0 = Gc.minor_words () in
+    let short = run 0.3 in
+    let w1 = Gc.minor_words () in
+    let long = run 1.0 in
+    let w2 = Gc.minor_words () in
+    let words = (w2 -. w1) -. (w1 -. w0) in
+    let per = words /. float_of_int (attempts long - attempts short) in
+    if not (per <= 8.) then
+      Alcotest.failf "%s: %.2f minor words per attempt (bound 8)" label per
+  in
+  (* The differential shadow (NETSIM_SPATIAL_DIFF) runs the allocating
+     reference loop inside each call; it is switched off for the
+     measurement and restored after. *)
+  let saved = Option.value (Sys.getenv_opt "NETSIM_SPATIAL_DIFF") ~default:"" in
+  Unix.putenv "NETSIM_SPATIAL_DIFF" "0";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "NETSIM_SPATIAL_DIFF" saved)
+    (fun () ->
+      let n = 200 in
+      let positions = geo_positions ~seed:4 n in
+      let strategies =
+        Array.init n (fun i ->
+            {
+              Dcf.Strategy_space.cw = 32;
+              aifs = i mod 2;
+              txop_frames = 1 + (i mod 2);
+              rate = 1.0;
+            })
+      in
+      let cws = Array.make n 32 in
+      List.iter
+        (fun (mode, params) ->
+          measure ("grid/" ^ mode) (fun duration ->
+              Netsim.Spatial.run_grid ~telemetry:(quiet ()) ~strategies ~params
+                ~positions ~range:60. ~cs_range:90. ~cws ~duration ~seed:4 ());
+          let adjacency = Mobility.Topology.adjacency ~range:60. positions in
+          measure ("lists/" ^ mode) (fun duration ->
+              Netsim.Spatial.run ~telemetry:(quiet ()) ~strategies
+                { params; adjacency; cws; duration; seed = 4 }))
+        [ ("basic", default); ("rts", rts_cts) ])
 
 let sharded_config ?(duration = 0.5) ~seed n =
   {
@@ -699,10 +880,172 @@ let test_sharded_close_to_single () =
     (Printf.sprintf "delivery within 25%% (rel %.3f)" rel)
     true (rel < 0.25)
 
+(* {1 Event calendar} *)
+
+module Cal = Netsim.Calendar
+
+let drain_all cal =
+  let out = ref [] in
+  while not (Cal.is_empty cal) do
+    let slot = Cal.take cal in
+    for k = 0 to Cal.due_count cal - 1 do
+      out := (slot, Cal.due cal k) :: !out
+    done
+  done;
+  List.rev !out
+
+let test_calendar_basic () =
+  let cal = Cal.create ~reach:10 ~capacity:4 in
+  Alcotest.(check int) "ring is the power of two above reach" 16
+    (Cal.window cal);
+  Alcotest.(check int) "starts before slot 0" (-1) (Cal.now cal);
+  Alcotest.(check bool) "fresh calendar empty" true (Cal.is_empty cal);
+  List.iter
+    (fun (slot, key) -> Cal.push cal slot key)
+    [ (5, 3); (2, 9); (5, 1); (0, 7); (2, 9); (14, 0) ];
+  Alcotest.(check int) "pending counts duplicates" 6 (Cal.pending cal);
+  Alcotest.(check int) "earliest slot first" 0 (Cal.take cal);
+  Alcotest.(check int) "one key due" 1 (Cal.due_count cal);
+  Alcotest.(check (list (pair int int)))
+    "drains by slot, then key"
+    [ (2, 9); (2, 9); (5, 1); (5, 3); (14, 0) ]
+    (drain_all cal);
+  Alcotest.(check int) "now is the last slot taken" 14 (Cal.now cal)
+
+let test_calendar_validation () =
+  Alcotest.check_raises "reach 0"
+    (Invalid_argument "Calendar.create: reach must be >= 1") (fun () ->
+      ignore (Cal.create ~reach:0 ~capacity:1));
+  Alcotest.check_raises "capacity 0"
+    (Invalid_argument "Calendar.create: capacity must be >= 1") (fun () ->
+      ignore (Cal.create ~reach:4 ~capacity:0));
+  let cal = Cal.create ~reach:4 ~capacity:1 in
+  Alcotest.check_raises "take of empty"
+    (Invalid_argument "Calendar.take: empty calendar") (fun () ->
+      ignore (Cal.take cal));
+  let outside = Invalid_argument "Calendar.push: slot outside the window" in
+  Cal.push cal 3 0;
+  ignore (Cal.take cal);
+  Alcotest.check_raises "the slot being drained" outside (fun () ->
+      Cal.push cal 3 1);
+  Alcotest.check_raises "the past" outside (fun () -> Cal.push cal 2 1);
+  Alcotest.check_raises "a full ring ahead" outside (fun () ->
+      Cal.push cal (3 + Cal.window cal) 1);
+  Cal.push cal (3 + Cal.window cal - 1) 5;
+  Alcotest.(check int) "the far edge is accepted" 1 (Cal.pending cal)
+
+let test_calendar_interleaved () =
+  (* Start the pool at one cell so pushes exercise growth, and push while
+     a slot's keys are being read: they land later and leave the due
+     keys alone. *)
+  let cal = Cal.create ~reach:8 ~capacity:1 in
+  List.iter (fun k -> Cal.push cal 4 k) [ 4; 2; 8 ];
+  Alcotest.(check int) "first slot" 4 (Cal.take cal);
+  Cal.push cal 5 1;
+  Cal.push cal 6 6;
+  Alcotest.(check (list int)) "due keys undisturbed by pushes" [ 2; 4; 8 ]
+    (List.init (Cal.due_count cal) (Cal.due cal));
+  Alcotest.(check (list (pair int int)))
+    "then the new events" [ (5, 1); (6, 6) ] (drain_all cal);
+  Cal.push cal 9 3;
+  Alcotest.(check (list (pair int int)))
+    "reusable after draining" [ (9, 3) ] (drain_all cal)
+
+(* A schedule is a list of rounds; each round pushes (distance selector,
+   key) pairs relative to the current slot and then takes one slot.  The
+   selector picks the nearest slot, the farthest (window − 1), the edge
+   at [reach] (where the simulator caps its horizon) or anything between,
+   and the reference is a plain list sorted by (slot, key). *)
+let test_calendar_matches_reference =
+  QCheck.Test.make ~name:"drain = sorted reference" ~count:300
+    QCheck.(
+      pair (int_range 1 300)
+        (small_list (small_list (pair small_nat (int_bound 40)))))
+    (fun (reach, rounds) ->
+      let cal = Cal.create ~reach ~capacity:1 in
+      let w = Cal.window cal in
+      let reference = ref [] in
+      let ok = ref (reach < w && w <= 2 * reach) in
+      let distance sel =
+        match sel mod 4 with
+        | 0 -> w - 1
+        | 1 -> 1
+        | 2 -> reach
+        | _ -> 1 + (sel mod (w - 1))
+      in
+      let take_and_compare () =
+        let sorted = List.sort compare !reference in
+        let slot = fst (List.hd sorted) in
+        let due, later = List.partition (fun (s, _) -> s = slot) sorted in
+        reference := later;
+        let got = Cal.take cal in
+        let keys = List.init (Cal.due_count cal) (Cal.due cal) in
+        if got <> slot || keys <> List.map snd due then ok := false
+      in
+      let refuses slot =
+        let before = Cal.pending cal in
+        (try
+           Cal.push cal slot 0;
+           false
+         with Invalid_argument _ -> true)
+        && Cal.pending cal = before
+      in
+      List.iter
+        (fun pushes ->
+          List.iter
+            (fun (sel, key) ->
+              let slot = Cal.now cal + distance sel in
+              Cal.push cal slot key;
+              reference := (slot, key) :: !reference)
+            pushes;
+          if
+            not
+              (refuses (Cal.now cal + w)
+              && refuses (Cal.now cal)
+              && refuses (Cal.now cal - 1))
+          then ok := false;
+          if !reference <> [] then take_and_compare ())
+        rounds;
+      while !reference <> [] do
+        take_and_compare ()
+      done;
+      !ok && Cal.is_empty cal)
+
+let test_calendar_allocation_free () =
+  let cal = Cal.create ~reach:100 ~capacity:1 in
+  let cycle i =
+    Cal.push cal (Cal.now cal + 1 + (i mod 97)) i;
+    Cal.push cal (Cal.now cal + 1 + (i * 7 mod 100)) (i land 3);
+    ignore (Cal.take cal)
+  in
+  (* Warm-up grows the cell pool and the drain buffer to working size. *)
+  for i = 1 to 10_000 do
+    cycle i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    cycle i
+  done;
+  let grew = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "no minor words over 10^5 push/take cycles" 0.
+    grew
+
+let suite_calendar =
+  [
+    Alcotest.test_case "push/take basics" `Quick test_calendar_basic;
+    Alcotest.test_case "validation" `Quick test_calendar_validation;
+    Alcotest.test_case "interleaved ops and growth" `Quick
+      test_calendar_interleaved;
+    QCheck_alcotest.to_alcotest test_calendar_matches_reference;
+    Alcotest.test_case "allocation-free after warm-up" `Quick
+      test_calendar_allocation_free;
+  ]
+
 let suite_scale =
   [
     QCheck_alcotest.to_alcotest test_grid_query_matches_scan;
     QCheck_alcotest.to_alcotest test_grid_move_incremental;
+    QCheck_alcotest.to_alcotest test_grid_neighbourhoods_match_query;
     Alcotest.test_case "run_grid bit-matches run" `Quick
       test_run_grid_bit_matches_run;
     Alcotest.test_case "sharded = run_grid at one shard" `Quick
@@ -754,6 +1097,10 @@ let suite_spatial =
     QCheck_alcotest.to_alcotest test_spatial_airtime_conservation;
     Alcotest.test_case "airtime clipped at horizon" `Quick
       test_spatial_airtime_clipped_at_horizon;
+    Alcotest.test_case "event core = reference (ring corners)" `Quick
+      test_spatial_ring_corners;
+    Alcotest.test_case "event phase words per attempt" `Quick
+      test_spatial_words_per_attempt;
   ]
 
 let () =
@@ -762,4 +1109,5 @@ let () =
       ("slotted", suite_slotted);
       ("spatial", suite_spatial);
       ("scale", suite_scale);
+      ("ring", suite_calendar);
     ]

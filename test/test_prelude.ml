@@ -402,6 +402,28 @@ let suite_stats =
     QCheck_alcotest.to_alcotest test_welford_matches_naive;
   ]
 
+let test_sort_prefix () =
+  let a = [| 5; 3; 9; 1; 7; 1; 42 |] in
+  Prelude.Util.sort_prefix a 6;
+  Alcotest.(check (array int)) "prefix sorted, tail untouched"
+    [| 1; 1; 3; 5; 7; 9; 42 |] a;
+  Prelude.Util.sort_prefix a 0;
+  Alcotest.check_raises "length past the end"
+    (Invalid_argument "Util.sort_prefix: length out of bounds") (fun () ->
+      Prelude.Util.sort_prefix a 8)
+
+(* Lengths straddle the insertion/heapsort switch at 32. *)
+let test_sort_prefix_matches_sort =
+  QCheck.Test.make ~name:"sort_prefix = List.sort on the prefix" ~count:300
+    QCheck.(pair (list_of_size Gen.(int_range 0 100) int) small_nat)
+    (fun (xs, cut) ->
+      let a = Array.of_list xs in
+      let len = if a = [||] then 0 else cut mod (Array.length a + 1) in
+      Prelude.Util.sort_prefix a len;
+      let prefix = List.filteri (fun i _ -> i < len) xs in
+      let tail = List.filteri (fun i _ -> i >= len) xs in
+      Array.to_list a = List.sort compare prefix @ tail)
+
 let suite_util =
   [
     Alcotest.test_case "clamp" `Quick test_clamp;
@@ -413,6 +435,8 @@ let suite_util =
     Alcotest.test_case "geometric_sum" `Quick test_geometric_sum;
     QCheck_alcotest.to_alcotest test_geometric_sum_matches_loop;
     Alcotest.test_case "fold_range" `Quick test_fold_range;
+    Alcotest.test_case "sort_prefix" `Quick test_sort_prefix;
+    QCheck_alcotest.to_alcotest test_sort_prefix_matches_sort;
   ]
 
 let suite_render =
@@ -426,72 +450,10 @@ let suite_render =
     Alcotest.test_case "plot constant series" `Quick test_plot_constant_series;
   ]
 
-(* {1 Heap} *)
-
-let drain heap =
-  let out = ref [] in
-  while not (Prelude.Heap.is_empty heap) do
-    out := Prelude.Heap.pop_min heap :: !out
-  done;
-  List.rev !out
-
-let test_heap_basic () =
-  let h = Prelude.Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Prelude.Heap.is_empty h);
-  List.iter (Prelude.Heap.push h) [ 5; 3; 9; 1; 7; 1 ];
-  Alcotest.(check int) "length counts duplicates" 6 (Prelude.Heap.length h);
-  Alcotest.(check int) "min visible without popping" 1 (Prelude.Heap.min_elt h);
-  Alcotest.(check int) "min_elt does not pop" 6 (Prelude.Heap.length h);
-  Alcotest.(check (list int)) "drains sorted" [ 1; 1; 3; 5; 7; 9 ] (drain h);
-  Alcotest.(check bool) "empty after drain" true (Prelude.Heap.is_empty h)
-
-let test_heap_validation () =
-  Alcotest.check_raises "bad capacity"
-    (Invalid_argument "Heap.create: capacity must be >= 1") (fun () ->
-      ignore (Prelude.Heap.create ~capacity:0 ()));
-  let h = Prelude.Heap.create () in
-  Alcotest.check_raises "min of empty"
-    (Invalid_argument "Heap.min_elt: empty heap") (fun () ->
-      ignore (Prelude.Heap.min_elt h));
-  Alcotest.check_raises "pop of empty"
-    (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
-      ignore (Prelude.Heap.pop_min h))
-
-let test_heap_interleaved () =
-  (* Start at capacity 1 so pushes exercise growth, and interleave pops so
-     sift-down runs against a mutating array. *)
-  let h = Prelude.Heap.create ~capacity:1 () in
-  List.iter (Prelude.Heap.push h) [ 4; 2; 8 ];
-  Alcotest.(check int) "first pop" 2 (Prelude.Heap.pop_min h);
-  List.iter (Prelude.Heap.push h) [ 1; 6 ];
-  Alcotest.(check int) "new min wins" 1 (Prelude.Heap.pop_min h);
-  Alcotest.(check int) "then old elements" 4 (Prelude.Heap.pop_min h);
-  Prelude.Heap.clear h;
-  Alcotest.(check bool) "clear empties" true (Prelude.Heap.is_empty h);
-  Prelude.Heap.push h 3;
-  Alcotest.(check (list int)) "reusable after clear" [ 3 ] (drain h)
-
-let test_heap_matches_sort =
-  QCheck.Test.make ~name:"heap drain = List.sort" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Prelude.Heap.create () in
-      List.iter (Prelude.Heap.push h) xs;
-      drain h = List.sort compare xs)
-
-let suite_heap =
-  [
-    Alcotest.test_case "push/pop basics" `Quick test_heap_basic;
-    Alcotest.test_case "validation" `Quick test_heap_validation;
-    Alcotest.test_case "interleaved ops and growth" `Quick test_heap_interleaved;
-    QCheck_alcotest.to_alcotest test_heap_matches_sort;
-  ]
-
 let () =
   Alcotest.run "prelude"
     [
       ("rng", suite_rng);
-      ("heap", suite_heap);
       ("stats", suite_stats);
       ("util", suite_util);
       ("render", suite_render);
